@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import gradedpoly as gp
+from . import partitions as pt
+from . import subspaces as sub
 from .errors import InputError, UnsupportedExcessIntersection
 from .flags import FlagSet, Tri, UNKNOWN
 from .partitions import SetPartition
@@ -84,7 +86,7 @@ def table_pairs(table):
                 yield a, b, v
 
 
-@dataclass
+@dataclass(frozen=True)
 class Arrangement:
     ambient: Stratum
     strata: dict
@@ -156,6 +158,30 @@ def geom_meet(g1, g2):
     if isinstance(g1, SetPartition) and isinstance(g2, SetPartition):
         return g1.join(g2)
     raise InputError("mixed or abstract geometry in intersection closure")
+
+
+def excess_dim(ga, gb, gc) -> int:
+    """Clean-sum separation rule: the excess cone dimension
+    rank(A+C) + rank(B+C) - rank(A+B+C) - rank(C) of (A+C)∩(B+C) over C.
+
+    For A∩B ⊆ C with neither inside C, the dominant transforms of A and
+    B are disjoint after blowing up C exactly when this is 0.  Tangent
+    spaces of polydiagonals are spanned by block indicators, so the
+    partition backend counts integer ranks."""
+    if isinstance(ga, ProjSubspace):
+        return (
+            sub.linear_rank(ga, gc)
+            + sub.linear_rank(gb, gc)
+            - sub.linear_rank(ga, gb, gc)
+            - len(gc.basis)
+        )
+    ru, rv, rc = ga.indicator_rows(), gb.indicator_rows(), gc.indicator_rows()
+    return (
+        pt.int_rank(ru + rc)
+        + pt.int_rank(rv + rc)
+        - pt.int_rank(ru + rv + rc)
+        - len(rc)
+    )
 
 
 def geom_conj(g):

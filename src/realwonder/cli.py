@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .engine import wonderful_run
@@ -22,6 +23,7 @@ from .hilbert import (
     consistency,
     deficiency_effective_gm,
     deficiency_general,
+    smith_data,
 )
 from .models import (
     SpaceData,
@@ -34,7 +36,7 @@ from .models import (
 )
 from .report import build_report, from_json, render_text, to_json
 from .subspaces import ProjSubspace, rnc_points, span_points
-from .verification import run_suite
+from .verification import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,28 +61,39 @@ def _parse_generators(data) -> tuple:
         raise InputError(f"bad dcp schema: {exc}") from exc
     generators = []
     for i, g in enumerate(raw):
+        if not isinstance(g, dict):
+            raise InputError(f"generator {i}: expected an object, got {g!r}")
         name = str(g.get("name", f"g{i}"))
-        if "basis" in g:
-            rows = [
-                tuple(GaussianRational.parse(str(x)) for x in row)
-                for row in g["basis"]
-            ]
-            sub = ProjSubspace.from_basis_rows(ambient_dim, rows)
-        elif "rnc_span" in g:
-            params = [GaussianRational.parse(str(t)) for t in g["rnc_span"]]
-            sub = span_points(rnc_points(ambient_dim, params))
-        else:
+        if "basis" not in g and "rnc_span" not in g:
             raise InputError(f"generator {name}: need 'basis' or 'rnc_span'")
+        try:
+            if "basis" in g:
+                rows = [
+                    tuple(GaussianRational.parse(str(x)) for x in row)
+                    for row in g["basis"]
+                ]
+            else:
+                params = [GaussianRational.parse(str(t)) for t in g["rnc_span"]]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"generator {name}: {exc}") from exc
+        if "basis" in g:
+            if any(len(row) != ambient_dim + 1 for row in rows):
+                raise InputError(
+                    f"generator {name}: basis rows need {ambient_dim + 1} entries"
+                )
+            sub = ProjSubspace.from_basis_rows(ambient_dim, rows)
+        else:
+            sub = span_points(rnc_points(ambient_dim, params))
         generators.append((name, sub))
     return ambient_dim, generators
 
 
 def _apply_seed_flags(arr, path: str):
-    from dataclasses import replace
-
     data = _load_json(path)
     if not isinstance(data, dict):
         raise InputError("seed-flags file must map stratum ids to flag objects")
+    ambient = arr.ambient
+    strata = dict(arr.strata)
     axioms = list(arr.flag_axioms)
     for sid, flags in sorted(data.items()):
         try:
@@ -88,14 +101,13 @@ def _apply_seed_flags(arr, path: str):
         except ValueError as exc:
             raise InputError(f"seed-flags {sid}: {exc}") from exc
         if sid == "ambient":
-            arr.ambient = replace(arr.ambient, flags=fs)
-        elif sid in arr.strata:
-            arr.strata[sid] = replace(arr.strata[sid], flags=fs)
+            ambient = replace(ambient, flags=fs)
+        elif sid in strata:
+            strata[sid] = replace(strata[sid], flags=fs)
         else:
             raise InputError(f"seed-flags: unknown stratum {sid!r}")
         axioms.append((sid, f"user axiom: {json.dumps(flags, sort_keys=True)}"))
-    arr.flag_axioms = tuple(axioms)
-    return arr
+    return replace(arr, ambient=ambient, strata=strata, flag_axioms=tuple(axioms))
 
 
 def _emit(report: dict, args) -> None:
@@ -165,18 +177,14 @@ def cmd_hilb2(args) -> int:
             raise InputError(
                 "only ConjugationSpace reports determine Smith data automatically"
             )
-        n = report["ambient_dim"]
-        data = SmithData(
-            n=n,
-            beta_total=final["total_c"],
-            beta_fixed=final["total_r"],
-            beta_odd=0,
-            delta=(0,) * (2 * n),
-            rank_mu=n * final["total_r"] // 2,
+        data = smith_data(
+            report["ambient_dim"], final["total_c"], final["total_r"], final["verdict"]
         )
         attest = {"tors2_free": True, "effective_gm": True}
     else:
         payload = _load_json(args.file)
+        if not isinstance(payload, dict):
+            raise InputError(f"{args.file}: Smith data must be a JSON object")
         data = SmithData.from_dict(payload.get("smith", payload))
         attest = payload.get("attest", {})
 
@@ -271,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hilb2)
 
     p = subs.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="core", choices=["core", "full"])
+    p.add_argument("--suite", default="core", choices=SUITES)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -26,13 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import gradedpoly as gp
-from . import partitions as pt
-from . import subspaces as sub
 from .arrangement import (
     Arrangement,
     REAL,
     Stratum,
     UNRESOLVED,
+    excess_dim,
     geom_key,
     geom_meet,
 )
@@ -56,12 +55,8 @@ PROPER = "ProperMeet"
 CENTER = "Center"
 
 
-def classify_case(arr: Arrangement, sid: str, cid: str) -> str:
-    """Position of stratum sid relative to the blow-up center cid,
-    using the current intersection table."""
-    if sid == cid:
-        return CENTER
-    m = arr.meet(sid, cid)
+def _case_of_meet(sid: str, cid: str, m) -> str:
+    """Case of stratum sid != cid given its meet m with the center."""
     if m is None:
         return DISJOINT
     if m == sid:
@@ -69,6 +64,14 @@ def classify_case(arr: Arrangement, sid: str, cid: str) -> str:
     if m == cid:
         return CONTAINS
     return PROPER
+
+
+def classify_case(arr: Arrangement, sid: str, cid: str) -> str:
+    """Position of stratum sid relative to the blow-up center cid,
+    using the current intersection table."""
+    if sid == cid:
+        return CENTER
+    return _case_of_meet(sid, cid, arr.meet(sid, cid))
 
 
 @dataclass(frozen=True)
@@ -133,10 +136,10 @@ def _shadow(arr: Arrangement, sid: str):
     return None
 
 
-_SEPARATION_CACHE = {}
-
-
-def _separation(arr: Arrangement, a: str, b: str, cid: str):
+def _separation(arr: Arrangement, a: str, b: str, cid: str, memo: dict):
+    """Raise unless the transforms of a and b are separated by the blow-up
+    along cid.  memo maps a pair of shadows to its outcome and serves one
+    center only: the key leaves out the center's shadow."""
     ga = _shadow(arr, a)
     gb = _shadow(arr, b)
     gc = _shadow(arr, cid)
@@ -145,11 +148,10 @@ def _separation(arr: Arrangement, a: str, b: str, cid: str):
             f"transforms {a} and {b} meet inside center {cid} and no "
             "geometry is available to separate them"
         )
-    cache_key = (frozenset((ga, gb)), gc)
-    outcome = _SEPARATION_CACHE.get(cache_key)
+    key = frozenset((ga, gb))
+    outcome = memo.get(key)
     if outcome is None:
-        outcome = _separation_outcome(ga, gb, gc)
-        _SEPARATION_CACHE[cache_key] = outcome
+        outcome = memo[key] = _separation_outcome(ga, gb, gc)
     if outcome != "separated":
         raise UnsupportedExcessIntersection(
             f"transforms of {a} and {b} at center {cid}: {outcome}"
@@ -166,20 +168,7 @@ def _separation_outcome(ga, gb, gc) -> str:
     mm = geom_meet(ga, gb)
     if mm is not None and not inside(mm, gc):
         return "shared directions outside the center; transforms still meet"
-    if isinstance(ga, sub.ProjSubspace):
-        rb = len(gc.basis)
-        rub = sub.linear_rank(ga, gc)
-        rvb = sub.linear_rank(gb, gc)
-        ruvb = sub.linear_rank(ga, gb, gc)
-        excess = rub + rvb - ruvb - rb
-    else:
-        ru = ga.indicator_rows()
-        rv = gb.indicator_rows()
-        rc = gc.indicator_rows()
-        rub = pt.int_rank(ru + rc)
-        rvb = pt.int_rank(rv + rc)
-        ruvb = pt.int_rank(ru + rv + rc)
-        excess = rub + rvb - ruvb - len(rc)
+    excess = excess_dim(ga, gb, gc)
     if excess:
         return f"transforms still meet after the blow-up (excess cone dim {excess})"
     return "separated"
@@ -206,12 +195,7 @@ def _elementary(arr: Arrangement, cid: str):
             raise UnsupportedExcessIntersection(
                 f"intersection of {sid} and center {cid} is unresolved"
             )
-        if m == sid:
-            cls[sid] = INSIDE
-        elif m == cid:
-            cls[sid] = CONTAINS
-        else:
-            cls[sid] = PROPER
+        cls[sid] = _case_of_meet(sid, cid, m)
 
     # exceptional pieces of ContainsCenter / ProperMeet strata
     resolved_new = {}
@@ -267,12 +251,11 @@ def _elementary(arr: Arrangement, cid: str):
         s, m = strata[sid], strata[mid]
         invariant = s.partner is None and center.partner is None
         bc = gp.kunneth(m.betti_c, gp.bundle_factor(d_s, 2))
-        if invariant and m.real_status == REAL:
+        real_nonempty = invariant and m.real_status == REAL
+        if real_nonempty:
             br = gp.kunneth(m.betti_r, gp.bundle_factor(d_s, 1))
-            real_nonempty = True
         else:
             br = gp.ZERO
-            real_nonempty = invariant and False
         new_strata[nid] = Stratum(
             sid=nid,
             dim_c=s.dim_c - 1,
@@ -286,6 +269,7 @@ def _elementary(arr: Arrangement, cid: str):
 
     # ---- intersection table -----------------------------------------
     raw_meet = arr.raw_meet
+    separations = {}  # outcome by pair of shadows, for this center only
 
     by_center_meet = {cid: [cid]}
     for sid, m in center_row.items():
@@ -332,7 +316,7 @@ def _elementary(arr: Arrangement, cid: str):
             return m
         if m == cid:
             return None  # normal directions along C are disjoint (clean)
-        _separation(arr, a, b, cid)
+        _separation(arr, a, b, cid, separations)
         return None
 
     touched = [cid] + sorted(center_row)

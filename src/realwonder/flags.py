@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from . import gradedpoly as gp
+from .errors import InternalCheckError
 
 
 class Tri(enum.Enum):
@@ -164,7 +165,7 @@ def verdict(flags: FlagSet, betti_c) -> str:
     """
     if flags.effective is YES and flags.maximal is YES:
         if gp.odd_part(betti_c) != 0:
-            raise AssertionError(
+            raise InternalCheckError(
                 "conjugation space verdict with nonzero odd Betti numbers"
             )
         return "ConjugationSpace"

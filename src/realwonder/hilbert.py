@@ -9,9 +9,9 @@ effectivity + Galois maximality + vanishing odd homology).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 
 
 @dataclass(frozen=True)
@@ -145,42 +145,42 @@ def deficiency_effective_gm(
     a = s.a
     value = _weighted_delta(s) + a * s.beta_total + a * (a - 1) // 2
     general = deficiency_general(
-        SmithData(
-            n=s.n,
-            beta_total=s.beta_total,
-            beta_fixed=s.beta_fixed,
-            beta_odd=0,
-            delta=s.delta,
-            rank_mu=s.n * s.beta_fixed // 2,
-        ),
+        replace(s, beta_odd=0, rank_mu=s.n * s.beta_fixed // 2),
         attest_tors2_free=True,
     )
     if value != general:
-        raise AssertionError(
+        raise InternalCheckError(
             "specialized and general Hilbert-square formulas disagree"
         )
     return value
 
 
-def smith_data_from_run(result) -> SmithData:
-    """Wire a wonderful-run result into SmithData.  Only conjugation
-    spaces pin all the inputs (a = 0 forces delta = 0, and no-odd gives
-    beta_odd = 0 with rank mu* = (n/2) beta_*(F))."""
-    from . import gradedpoly as gp
-
-    if result.verdict != "ConjugationSpace":
+def smith_data(n: int, total_c: int, total_r: int, verdict: str) -> SmithData:
+    """SmithData of an n-dimensional run with the given Betti totals.
+    Only conjugation spaces pin all the inputs (a = 0 forces delta = 0,
+    and no-odd gives beta_odd = 0 with rank mu* = (n/2) beta_*(F))."""
+    if verdict != "ConjugationSpace":
         raise InputError(
             "only ConjugationSpace runs determine Smith data automatically; "
-            f"got verdict {result.verdict}"
+            f"got verdict {verdict}"
         )
-    n = result.arrangement.ambient.dim_c
-    beta = gp.total(result.betti_c)
-    beta_fixed = gp.total(result.betti_r)
     return SmithData(
         n=n,
-        beta_total=beta,
-        beta_fixed=beta_fixed,
+        beta_total=total_c,
+        beta_fixed=total_r,
         beta_odd=0,
         delta=(0,) * (2 * n),
-        rank_mu=n * beta_fixed // 2,
+        rank_mu=n * total_r // 2,
+    )
+
+
+def smith_data_from_run(result) -> SmithData:
+    """Wire a wonderful-run result into SmithData."""
+    from . import gradedpoly as gp
+
+    return smith_data(
+        result.arrangement.ambient.dim_c,
+        gp.total(result.betti_c),
+        gp.total(result.betti_r),
+        result.verdict,
     )

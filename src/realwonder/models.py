@@ -7,7 +7,7 @@ used as a cross-backend oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import gradedpoly as gp
@@ -122,6 +122,38 @@ class SpaceData:
 # linear (De Concini-Procesi) backend
 
 
+def _projective_ambient(k: int) -> Stratum:
+    """P^k with its standard conjugation, the ambient of the linear and
+    braid models."""
+    return Stratum(
+        sid=AMBIENT_ID,
+        dim_c=k,
+        betti_c=gp.projective_betti(k, 2),
+        betti_r=gp.projective_betti(k, 1),
+        flags=CONJUGATION_SPACE,
+    )
+
+
+_PROJECTIVE_AXIOM = (AMBIENT_ID, "projective space with standard conjugation")
+
+
+def _finalize_building(
+    arr: Arrangement, building, what: str, *, validate_prefixes: bool, **fields
+) -> Arrangement:
+    """The common tail of every builder: validate the building set
+    (InputError naming `what` on violation), store it sorted by
+    (dim_c, id) together with the given fields, and order the events."""
+    problems = validate_building_set(arr, building)
+    if problems:
+        raise InputError(f"{what} invalid: " + "; ".join(problems))
+    arr = replace(
+        arr,
+        building_set=tuple(sorted(building, key=lambda s: (arr.strata[s].dim_c, s))),
+        **fields,
+    )
+    return order_building_set(arr, validate_prefixes=validate_prefixes)
+
+
 def _linear_factory(sid, geom: ProjSubspace, partner):
     k = geom.proj_dim
     invariant = partner is None
@@ -138,7 +170,7 @@ def _linear_factory(sid, geom: ProjSubspace, partner):
 
 
 def _linear_axioms(arr: Arrangement):
-    axioms = [(AMBIENT_ID, "projective space with standard conjugation")]
+    axioms = [_PROJECTIVE_AXIOM]
     for sid, s in sorted(arr.strata.items()):
         if s.partner is None:
             axioms.append((sid, "real linear subspace: conjugation space"))
@@ -147,7 +179,7 @@ def _linear_axioms(arr: Arrangement):
     return tuple(axioms)
 
 
-def _complete_building(arr: Arrangement, building) -> tuple:
+def _complete_building(arr: Arrangement, building) -> list:
     """Add violating intersection strata to the building set until the
     G-building-set condition holds ("generators plus closure
     requirements")."""
@@ -171,10 +203,7 @@ def _complete_building(arr: Arrangement, building) -> tuple:
             partner = arr.strata[sid].partner
             if partner and partner not in building:
                 building.append(partner)
-    problems = validate_building_set(arr, building)
-    if problems:
-        raise InputError("invalid building set: " + "; ".join(problems))
-    return tuple(sorted(building, key=lambda s: (arr.strata[s].dim_c, s)))
+    return building
 
 
 def build_dcp(
@@ -201,18 +230,17 @@ def build_dcp(
             raise InputError(f"{name}: duplicate generator")
         seen.add(g)
 
-    ambient = Stratum(
-        sid=AMBIENT_ID,
-        dim_c=ambient_dim,
-        betti_c=gp.projective_betti(ambient_dim, 2),
-        betti_r=gp.projective_betti(ambient_dim, 1),
-        flags=CONJUGATION_SPACE,
+    arr = close_under_intersection(
+        _projective_ambient(ambient_dim), generators, _linear_factory
     )
-    arr = close_under_intersection(ambient, generators, _linear_factory)
-    arr.building_set = _complete_building(arr, [name for name, _ in generators])
-    arr.stretched = YES
-    arr.flag_axioms = _linear_axioms(arr)
-    return order_building_set(arr, validate_prefixes=validate_prefixes)
+    return _finalize_building(
+        arr,
+        _complete_building(arr, [name for name, _ in generators]),
+        "completed building set",
+        validate_prefixes=validate_prefixes,
+        stretched=YES,
+        flag_axioms=_linear_axioms(arr),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -329,20 +357,13 @@ def build_moduli(
     n = spec.n
     big_n = n - 3
 
-    ambient = Stratum(
-        sid=AMBIENT_ID,
-        dim_c=max(big_n, 0),
-        betti_c=gp.projective_betti(max(big_n, 0), 2),
-        betti_r=gp.projective_betti(max(big_n, 0), 1),
-        flags=CONJUGATION_SPACE,
-    )
     if big_n < 1 or n < 5:
         return Arrangement(
-            ambient=ambient,
+            ambient=_projective_ambient(max(big_n, 0)),
             strata={},
             table={},
             stretched=YES,
-            flag_axioms=((AMBIENT_ID, "projective space with standard conjugation"),),
+            flag_axioms=(_PROJECTIVE_AXIOM,),
         )
 
     points = rnc_points(big_n, params)
@@ -359,8 +380,7 @@ def build_moduli(
             name = "s" + ".".join(str(labels[i]) for i in subset)
             generators.append((name, span_points([points[i] for i in subset])))
 
-    arr = build_dcp(big_n, generators, validate_prefixes=validate_prefixes)
-    return arr
+    return build_dcp(big_n, generators, validate_prefixes=validate_prefixes)
 
 
 # ----------------------------------------------------------------------
@@ -405,24 +425,17 @@ def _config_arrangement(n: int, space: SpaceData, generators) -> Arrangement:
     arr = close_under_intersection(
         ambient, named, _power_factory(space), namer=lambda k, g: g.label()
     )
-    arr.stretched = YES
-    arr.flag_axioms = (
-        (AMBIENT_ID, f"product of {n} copies of declared space {space.name}"),
-    )
-    return arr
+    axiom = (AMBIENT_ID, f"product of {n} copies of declared space {space.name}")
+    return replace(arr, stretched=YES, flag_axioms=(axiom,))
 
 
 def build_fm(n: int, space: SpaceData, *, validate_prefixes: bool = False) -> Arrangement:
     """Fulton-MacPherson compactification: building set = all diagonals."""
     arr = _config_arrangement(n, space, diagonals(n))
     building = [p.label() for p in diagonals(n)]
-    problems = validate_building_set(arr, building)
-    if problems:
-        raise InputError("diagonal building set invalid: " + "; ".join(problems))
-    arr.building_set = tuple(
-        sorted(building, key=lambda s: (arr.strata[s].dim_c, s))
+    return _finalize_building(
+        arr, building, "diagonal building set", validate_prefixes=validate_prefixes
     )
-    return order_building_set(arr, validate_prefixes=validate_prefixes)
 
 
 def build_ulyanov(
@@ -430,14 +443,12 @@ def build_ulyanov(
 ) -> Arrangement:
     """Ulyanov's compactification: building set = all polydiagonals."""
     arr = _config_arrangement(n, space, diagonals(n))
-    building = sorted(arr.strata)
-    problems = validate_building_set(arr, building)
-    if problems:
-        raise InputError("polydiagonal building set invalid: " + "; ".join(problems))
-    arr.building_set = tuple(
-        sorted(building, key=lambda s: (arr.strata[s].dim_c, s))
+    return _finalize_building(
+        arr,
+        sorted(arr.strata),
+        "polydiagonal building set",
+        validate_prefixes=validate_prefixes,
     )
-    return order_building_set(arr, validate_prefixes=validate_prefixes)
 
 
 def build_kt(
@@ -457,11 +468,9 @@ def build_kt(
         raise InputError("empty building set")
     arr = _config_arrangement(n, space, parts)
     names = [p.label() for p in parts]
-    problems = validate_building_set(arr, names)
-    if problems:
-        raise InputError("user building set invalid: " + "; ".join(problems))
-    arr.building_set = tuple(sorted(names, key=lambda s: (arr.strata[s].dim_c, s)))
-    return order_building_set(arr, validate_prefixes=validate_prefixes)
+    return _finalize_building(
+        arr, names, "user building set", validate_prefixes=validate_prefixes
+    )
 
 
 # ----------------------------------------------------------------------
@@ -496,14 +505,8 @@ def build_braid(n: int, backend: str, *, validate_prefixes: bool = False) -> Arr
     if n < 3:
         raise InputError("braid models need n >= 3")
     gens = diagonals(n)
+    ambient = _projective_ambient(n)
     if backend == "partition":
-        ambient = Stratum(
-            sid=AMBIENT_ID,
-            dim_c=n,
-            betti_c=gp.projective_betti(n, 2),
-            betti_r=gp.projective_betti(n, 1),
-            flags=CONJUGATION_SPACE,
-        )
         named = [(p.label(), p) for p in gens]
         arr = close_under_intersection(
             ambient, named, _braid_partition_factory, namer=lambda k, g: g.label()
@@ -527,23 +530,16 @@ def build_braid(n: int, backend: str, *, validate_prefixes: bool = False) -> Arr
                 raise InputError("discovered braid intersection is not a polydiagonal")
             return label
 
-        ambient = Stratum(
-            sid=AMBIENT_ID,
-            dim_c=n,
-            betti_c=gp.projective_betti(n, 2),
-            betti_r=gp.projective_betti(n, 1),
-            flags=CONJUGATION_SPACE,
-        )
         named = [(p.label(), subspace_by_label[p.label()]) for p in gens]
         arr = close_under_intersection(ambient, named, _linear_factory, namer=namer)
     else:
         raise InputError(f"unknown braid backend {backend!r}")
 
-    arr.stretched = YES
-    building = [p.label() for p in gens]
-    problems = validate_building_set(arr, building)
-    if problems:
-        raise InputError(f"braid building set invalid ({backend}): " + "; ".join(problems))
-    arr.building_set = tuple(sorted(building, key=lambda s: (arr.strata[s].dim_c, s)))
-    arr.flag_axioms = ((AMBIENT_ID, "projective space with standard conjugation"),)
-    return order_building_set(arr, validate_prefixes=validate_prefixes)
+    return _finalize_building(
+        arr,
+        [p.label() for p in gens],
+        f"braid building set ({backend})",
+        validate_prefixes=validate_prefixes,
+        stretched=YES,
+        flag_axioms=(_PROJECTIVE_AXIOM,),
+    )

@@ -176,27 +176,3 @@ def int_rank(rows) -> int:
         if rank == len(mat):
             break
     return rank
-
-
-def separation_test(u: SetPartition, v: SetPartition, b: SetPartition,
-                    projective: bool = False):
-    """Partition-backend analogue of subspaces.separation_test.
-
-    Tangent spaces of polydiagonals are spanned by block indicators, so
-    the clean-sum criterion is a rank count.  Returns None when
-    separated, otherwise the excess linear dimension of (U+B)∩(V+B).
-    """
-    if b.refines(u) or b.refines(v):
-        raise ValueError("separation_test requires u, v not contained in b")
-    if u != v and not b.refines(u.join(v)):
-        raise ValueError("separation_test requires u∩v ⊆ b")
-    ru = u.indicator_rows(projective)
-    rv = v.indicator_rows(projective)
-    rb = b.indicator_rows(projective)
-    rub = int_rank(ru + rb)
-    rvb = int_rank(rv + rb)
-    ruvb = int_rank(ru + rv + rb)
-    meet_dim = rub + rvb - ruvb
-    if meet_dim == len(rb):
-        return None
-    return meet_dim

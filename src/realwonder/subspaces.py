@@ -347,27 +347,6 @@ def linear_rank(*subs) -> int:
     return len(_jordan_int(mat, n + 1, full=False))
 
 
-def separation_test(u, v, b):
-    """Decide whether the dominant transforms of u and v are disjoint
-    after blowing up b, given u∩v ⊆ b and u, v not contained in b.
-
-    Returns None when (u+b)∩(v+b) = b (separated); otherwise returns the
-    excess subspace (u+b)∩(v+b).
-    """
-    _common_ambient(u, v, b)
-    if contains(b, u) or contains(b, v):
-        raise ValueError("separation_test requires u, v not contained in b")
-    if u != v and not contains(b, intersect(u, v)):
-        raise ValueError("separation_test requires u∩v ⊆ b")
-    rb = len(b.basis)
-    rub = linear_rank(u, b)
-    rvb = linear_rank(v, b)
-    ruvb = linear_rank(u, v, b)
-    if rub + rvb - ruvb == rb:
-        return None
-    return intersect(span_sum(u, b), span_sum(v, b))
-
-
 def rnc_points(ambient_dim: int, params) -> list[ProjSubspace]:
     """Points [1 : t : t^2 : ... : t^N] on the rational normal curve.
 
@@ -391,11 +370,3 @@ def rnc_points(ambient_dim: int, params) -> list[ProjSubspace]:
             coords.append(coords[-1] * t)
         pts.append(ProjSubspace.point(coords))
     return pts
-
-
-def parse_coord(text: str) -> GaussianRational:
-    return GaussianRational.parse(text)
-
-
-def format_coord(z: GaussianRational) -> str:
-    return str(z)

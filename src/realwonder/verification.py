@@ -353,42 +353,32 @@ def check_global_properties(count: int = 100, nmax: int = 6):
     return True, f"{runs} runs completed with per-step property checks on"
 
 
-SUITES = {
-    "core": [
-        ("moduli-n4", check_moduli_n4, {}),
-        ("moduli-n5-id", check_moduli_n5_id, {}),
-        ("moduli-n5-transposition", check_moduli_n5_transposition, {}),
-        ("moduli-n5-double-pair", check_moduli_n5_double_pair, {}),
-        ("moduli-n6-id", check_moduli_n6_id, {}),
-        ("sigma-independence", check_sigma_independence, {"nmax": 6, "per_type": 1}),
-        ("step-identities", check_step_identities, {"count": 20, "nmax": 5}),
-        ("dcp-conjugation-spaces", check_dcp_conjugation, {"count": 8}),
-        ("config-models", check_config_models, {}),
-        ("braid-oracle", check_braid_oracle, {"nmax": 5}),
-        ("hilbert-squares", check_hilbert_squares, {"samples": 200}),
-        ("global-properties", check_global_properties, {"count": 20, "nmax": 5}),
-    ],
-    "full": [
-        ("moduli-n4", check_moduli_n4, {}),
-        ("moduli-n5-id", check_moduli_n5_id, {}),
-        ("moduli-n5-transposition", check_moduli_n5_transposition, {}),
-        ("moduli-n5-double-pair", check_moduli_n5_double_pair, {}),
-        ("moduli-n6-id", check_moduli_n6_id, {}),
-        ("sigma-independence", check_sigma_independence, {"nmax": 7}),
-        ("step-identities", check_step_identities, {"count": 100, "nmax": 6}),
-        ("dcp-conjugation-spaces", check_dcp_conjugation, {"count": 25}),
-        ("config-models", check_config_models, {}),
-        ("braid-oracle", check_braid_oracle, {"nmax": 6}),
-        ("hilbert-squares", check_hilbert_squares, {"samples": 1000}),
-        ("global-properties", check_global_properties, {"count": 100, "nmax": 6}),
-    ],
-}
+SUITES = ("core", "full")
+
+# (name, check, core kwargs, full kwargs)
+CHECKS = [
+    ("moduli-n4", check_moduli_n4, {}, {}),
+    ("moduli-n5-id", check_moduli_n5_id, {}, {}),
+    ("moduli-n5-transposition", check_moduli_n5_transposition, {}, {}),
+    ("moduli-n5-double-pair", check_moduli_n5_double_pair, {}, {}),
+    ("moduli-n6-id", check_moduli_n6_id, {}, {}),
+    ("sigma-independence", check_sigma_independence,
+     {"nmax": 6, "per_type": 1}, {"nmax": 7}),
+    ("step-identities", check_step_identities,
+     {"count": 20, "nmax": 5}, {"count": 100, "nmax": 6}),
+    ("dcp-conjugation-spaces", check_dcp_conjugation, {"count": 8}, {"count": 25}),
+    ("config-models", check_config_models, {}, {}),
+    ("braid-oracle", check_braid_oracle, {"nmax": 5}, {"nmax": 6}),
+    ("hilbert-squares", check_hilbert_squares, {"samples": 200}, {"samples": 1000}),
+    ("global-properties", check_global_properties,
+     {"count": 20, "nmax": 5}, {"count": 100, "nmax": 6}),
+]
 
 
 def run_suite(name: str):
     """Run a named suite; yields (check_name, ok, detail)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    for check_name, fn, kwargs in SUITES[name]:
-        ok, detail = fn(**kwargs)
+    for check_name, fn, core, full in CHECKS:
+        ok, detail = fn(**(core if name == "core" else full))
         yield check_name, ok, detail

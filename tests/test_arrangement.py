@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_closure_rejects_missing_conjugate():
 def test_validate_building_set_examples():
     pts = rnc_points(2, [0, 1, 2, 3])
     arr = close_linear(2, [(f"p{i}", p) for i, p in enumerate(pts)])
-    arr.building_set = tuple(arr.strata)
+    arr = replace(arr, building_set=tuple(arr.strata))
     assert validate_building_set(arr) == []
 
     pts4 = rnc_points(4, [0, 1, 2, 3, 4, 5])
@@ -91,7 +92,7 @@ def test_order_building_set_nested():
     line = span_points(pts[:2])
     plane = span_points(pts[:3])
     arr = close_linear(4, [("pt", point), ("line", line), ("plane", plane)])
-    arr.building_set = ("plane", "line", "pt")
+    arr = replace(arr, building_set=("plane", "line", "pt"))
     ordered = order_building_set(arr, validate_prefixes=True)
     assert ordered.events == (("pt",), ("line",), ("plane",))
 
@@ -101,7 +102,7 @@ def test_order_groups_conjugate_pairs():
 
     pts = rnc_points(2, [gq(0), gq(0, 1), gq(0, -1)])
     arr = close_linear(2, [("a", pts[0]), ("b", pts[1]), ("c", pts[2])])
-    arr.building_set = ("a", "b", "c")
+    arr = replace(arr, building_set=("a", "b", "c"))
     ordered = order_building_set(arr)
     assert ordered.events == (("a",), ("b", "c"))
     assert arr.strata["b"].partner == "c"

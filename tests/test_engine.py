@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from realwonder import gradedpoly as gp
@@ -176,8 +178,7 @@ def test_unsupported_excess_raises():
         flags=CONJUGATION_SPACE,
     )
     arr = close_under_intersection(ambient, gens, _linear_factory)
-    arr.building_set = ("b",)
-    arr.events = (("b",),)
+    arr = replace(arr, building_set=("b",), events=(("b",),))
     with pytest.raises(UnsupportedExcessIntersection):
         blow_up_step(arr)
 
@@ -210,8 +211,7 @@ def test_touching_pair_guard_invariant_bystander():
     ubar = u.conjugate()
     line = span_points([w, pt(0, 1, 0, 0, 0)])
     arr = _manual_linear_arrangement(4, [("u", u), ("ubar", ubar), ("l", line)])
-    arr.building_set = ("u", "ubar")
-    arr.events = (("u", "ubar"),)
+    arr = replace(arr, building_set=("u", "ubar"), events=(("u", "ubar"),))
     with pytest.raises(UnsupportedExcessIntersection):
         blow_up_step(arr)
 
@@ -228,8 +228,7 @@ def test_touching_pair_guard_nontransversal():
     b = pt(0, 1, 0, 0, 0, 0)
     u = span_points([a, b, pt(0, 0, 1, (0, 1), 0, 0)])
     arr = _manual_linear_arrangement(5, [("u", u), ("ubar", u.conjugate())])
-    arr.building_set = ("u", "ubar")
-    arr.events = (("u", "ubar"),)
+    arr = replace(arr, building_set=("u", "ubar"), events=(("u", "ubar"),))
     with pytest.raises(UnsupportedExcessIntersection):
         blow_up_step(arr)
 
@@ -272,3 +271,26 @@ def test_empty_run():
     assert res.traces == ()
     assert res.betti_c == [1, 0, 1]
     assert res.verdict == "ConjugationSpace"
+
+
+def test_separation_memo_is_per_run(monkeypatch):
+    """Each run decides its separations afresh: a second identical run in
+    the same process makes as many clean-sum rank counts as the first."""
+    from realwonder import engine
+    from realwonder.models import SpaceData, build_fm
+
+    calls = []
+    original = engine.excess_dim
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "excess_dim", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        wonderful_run(build_fm(4, SpaceData.projective_space(1)))
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from realwonder.errors import InternalCheckError
 from realwonder.flags import (
     CONJUGATION_SPACE,
     DeficiencyLedger,
@@ -122,8 +123,19 @@ def test_verdicts():
     assert verdict(FlagSet(effective=YES), [1, 1]) == "Effective"
     assert verdict(FlagSet(galois_maximal=YES), [1, 1]) == "GaloisMaximal"
     assert verdict(FlagSet(UNKNOWN, YES, YES), [1, 0, 1]) == "Maximal"
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalCheckError):
         verdict(FlagSet(YES, YES, YES), [1, 1, 1])  # odd classes forbidden
+
+
+def test_inconsistent_verdict_exits_3(monkeypatch, capsys):
+    """A conjugation-space verdict with odd classes is an internal fault:
+    the CLI maps it to exit 3, not a traceback."""
+    from realwonder import cli
+    from realwonder import flags
+
+    monkeypatch.setattr(flags.gp, "odd_part", lambda betti: 1)
+    assert cli.main(["moduli", "--n", "5"]) == 3
+    assert "conjugation space verdict" in capsys.readouterr().err
 
 
 def test_deficiency_ledger():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from realwonder.engine import wonderful_run
-from realwonder.errors import InputError
+from realwonder.errors import InputError, InternalCheckError
 from realwonder.hilbert import (
     SmithData,
     consistency,
@@ -126,6 +126,30 @@ def test_pipeline_from_runs():
     not_conj = wonderful_run(build_moduli(parse_sigma("(1 2)", 5)))
     with pytest.raises(InputError):
         smith_data_from_run(not_conj)
+
+
+def test_formula_disagreement_is_internal(monkeypatch, tmp_path, capsys):
+    """If the specialized and general formulas ever disagree, that is an
+    internal fault: InternalCheckError, and exit 3 through the CLI."""
+    import json
+
+    from realwonder import cli, hilbert
+
+    general = hilbert.deficiency_general
+    monkeypatch.setattr(
+        hilbert, "deficiency_general", lambda s, **kw: general(s, **kw) + 2
+    )
+    s = SmithData(n=2, beta_total=4, beta_fixed=2, delta=(0, 1, 0, 0))
+    with pytest.raises(InternalCheckError):
+        deficiency_effective_gm(s, attest_effective_gm=True, attest_tors2_free=True)
+    path = tmp_path / "smith.json"
+    path.write_text(
+        json.dumps(
+            {"smith": s.to_dict(), "attest": {"tors2_free": True, "effective_gm": True}}
+        )
+    )
+    assert cli.main(["hilb2", "--file", str(path)]) == 3
+    assert "formulas disagree" in capsys.readouterr().err
 
 
 def test_from_dict_roundtrip():

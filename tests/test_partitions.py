@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from realwonder.arrangement import excess_dim
+from realwonder.engine import _separation_outcome
+from realwonder.models import _braid_subspace
 from realwonder.partitions import (
     SetPartition,
     all_partitions,
     diagonals,
     int_rank,
-    separation_test,
 )
 
 
@@ -110,8 +112,10 @@ def test_separation_fm_small_diagonal():
     u = SetPartition(3, [[1, 2]])
     v = SetPartition(3, [[1, 3]])
     b = SetPartition(3, [[1, 2, 3]])
-    assert separation_test(u, v, b) is None
-    assert separation_test(u, v, b, projective=True) is None
+    assert excess_dim(u, v, b) == 0
+    # the projective-closure profile, through the linear backend
+    linear = [_braid_subspace(3, p) for p in (u, v, b)]
+    assert excess_dim(*linear) == 0
 
 
 def test_separation_nonmodular_pair():
@@ -120,14 +124,14 @@ def test_separation_nonmodular_pair():
     u = SetPartition(4, [[1, 2], [3, 4]])
     v = SetPartition(4, [[1, 3], [2, 4]])
     b = SetPartition(4, [[1, 2, 3, 4]])
-    assert separation_test(u, v, b) is None
+    assert excess_dim(u, v, b) == 0
 
 
 def test_separation_preconditions():
     u = SetPartition(3, [[1, 2]])
     b = SetPartition(3, [[1, 2, 3]])
-    with pytest.raises(ValueError):
-        separation_test(b, u, u)
+    outcome = _separation_outcome(b, u, u)
+    assert outcome.startswith("shadow inside the center shadow")
 
 
 def test_all_partitions_count():

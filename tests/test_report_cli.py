@@ -194,6 +194,31 @@ def test_cli_input_error_exit_codes(tmp_path):
     assert cli.main(["dcp", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "name, payload",
+    [
+        ("dcp-generator-not-object", {"ambient_dim": 2, "generators": [5]}),
+        (
+            "dcp-basis-row-length",
+            {"ambient_dim": 2, "generators": [{"basis": [["1", "0"]]}]},
+        ),
+        ("dcp-basis-not-list", {"ambient_dim": 2, "generators": [{"basis": 5}]}),
+    ],
+)
+def test_cli_dcp_malformed_generators(tmp_path, capsys, name, payload):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["dcp", str(path)]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_cli_hilb2_file_not_object(tmp_path, capsys):
+    path = tmp_path / "smith.json"
+    path.write_text(json.dumps([1, 2, 3]))
+    assert cli.main(["hilb2", "--file", str(path)]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_cli_engine_error_maps_to_3(monkeypatch):
     def boom(args):
         raise EngineError("guard tripped")

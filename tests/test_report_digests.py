@@ -1,0 +1,72 @@
+"""sha256 pins of the canonical report for small fixed models.
+
+Refactors and speedups must leave every reported number, and so every
+report byte, unchanged; these digests catch any drift in under a second.
+Update a digest only together with a deliberate change of the numbers
+or of the report schema.
+"""
+
+import hashlib
+
+import pytest
+
+from realwonder.engine import wonderful_run
+from realwonder.exact import gq
+from realwonder.models import (
+    SpaceData,
+    build_braid,
+    build_dcp,
+    build_fm,
+    build_kt,
+    build_moduli,
+    build_ulyanov,
+    parse_sigma,
+)
+from realwonder.report import build_report, to_json
+from realwonder.subspaces import rnc_points, span_points
+
+P1 = SpaceData.projective_space(1)
+
+
+def _fixed_dcp():
+    """Two real lines through a real point and a conjugate pair of
+    points on a real line of P^3."""
+    p0, p1, p2, z, zbar = rnc_points(3, [gq(0), gq(1), gq(2), gq(0, 1), gq(0, -1)])
+    generators = [
+        ("l01", span_points([p0, p1])),
+        ("l02", span_points([p0, p2])),
+        ("z", z),
+        ("zbar", zbar),
+        ("lz", span_points([z, zbar])),
+    ]
+    return build_dcp(3, generators)
+
+
+CASES = {
+    "moduli-n6-id": lambda: build_moduli(parse_sigma("id", 6)),
+    "moduli-n6-(1 2)": lambda: build_moduli(parse_sigma("(1 2)", 6)),
+    "fm-n4-P1": lambda: build_fm(4, P1),
+    "ulyanov-n3-P1": lambda: build_ulyanov(3, P1),
+    "kt-n3-P1-chain": lambda: build_kt(3, P1, [[[1, 2, 3]]]),
+    "braid-n4-partition": lambda: build_braid(4, "partition"),
+    "braid-n4-linear": lambda: build_braid(4, "linear"),
+    "dcp-fixed": _fixed_dcp,
+}
+
+DIGESTS = {
+    "braid-n4-linear": "9a36582e88047857a1842e94d3f51adcfe849f2338e87542653b922bd5ee7482",
+    "braid-n4-partition": "366f44783a80769a8587bfc8c9fe83114d6570a69adcd983bea20ee5ddfcf8fa",
+    "dcp-fixed": "ed823490b383390197380c887a115b1f19532e04d8e81046fa63b4378f4ffa61",
+    "fm-n4-P1": "88743891fbda514e2599aff02aa1332dfe68a46a852f3692a43c1e3c162afa27",
+    "kt-n3-P1-chain": "3769a567818dad4fb5b4a4737723d8936c8d1ec2eee80aa001463112754b18d7",
+    "moduli-n6-(1 2)": "97a6b1421028f287087c788f79c021de4d7fb6007247e8d770abdbc883b1129d",
+    "moduli-n6-id": "cbc197467fea485200062cd052c77305df25ec995cdd003bb25874f9b5e4459c",
+    "ulyanov-n3-P1": "76600d2a47320b939803733e1c3b4168e6d9abe3a0268556619d47598f458e9f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest(name):
+    report = build_report({"case": name}, wonderful_run(CASES[name]()))
+    digest = hashlib.sha256(to_json(report).encode("utf-8")).hexdigest()
+    assert digest == DIGESTS[name]

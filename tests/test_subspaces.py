@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from realwonder.arrangement import excess_dim
+from realwonder.engine import _separation_outcome
 from realwonder.exact import gq
 from realwonder.subspaces import (
     ProjSubspace,
@@ -10,7 +12,6 @@ from realwonder.subspaces import (
     intersect,
     linear_rank,
     rnc_points,
-    separation_test,
     span_points,
     span_sum,
 )
@@ -114,15 +115,16 @@ def test_separation_separated():
     p, q, r = rnc_points(3, [0, 1, 2])
     u = span_points([p, q])
     v = span_points([p, r])
-    assert separation_test(u, v, p) is None
+    assert excess_dim(u, v, p) == 0
 
 
 def test_separation_identical_transforms():
     p, q, r = rnc_points(3, [0, 1, 2])
     u = span_points([p, q])
     b = p
-    excess = separation_test(u, u, b)
-    assert excess == span_sum(u, b) == u
+    # the excess space (U+B)∩(U+B) is U itself
+    assert span_sum(u, b) == u
+    assert excess_dim(u, u, b) == u.proj_dim - b.proj_dim > 0
 
 
 def test_separation_true_excess():
@@ -133,21 +135,20 @@ def test_separation_true_excess():
     v = span_points([q, pts[3], pts[4]])
     b = span_points([q, pts[5]])
     assert intersect(u, v) == q
-    excess = separation_test(u, v, b)
-    assert excess is not None
-    assert excess.proj_dim > b.proj_dim
+    excess = intersect(span_sum(u, b), span_sum(v, b))
+    assert excess_dim(u, v, b) == excess.proj_dim - b.proj_dim > 0
     assert contains(excess, b)
 
 
 def test_separation_preconditions():
     pts = rnc_points(3, [0, 1, 2, 3])
     u = span_points(pts[:2])
-    with pytest.raises(ValueError):
-        separation_test(u, span_points(pts[1:3]), u)  # u inside the center
+    outcome = _separation_outcome(u, span_points(pts[1:3]), u)  # u inside the center
+    assert outcome.startswith("shadow inside the center shadow")
     v = span_points(pts[2:])
-    with pytest.raises(ValueError):
-        # u∧v = empty is fine, but meet not inside b fails when nonempty
-        separation_test(u, span_points([pts[0], pts[2]]), pts[1])
+    # u∧v = empty is fine, but meet not inside b fails when nonempty
+    outcome = _separation_outcome(u, span_points([pts[0], pts[2]]), pts[1])
+    assert outcome.startswith("shared directions outside the center")
 
 
 def test_separation_generic_rank_property():
@@ -162,7 +163,7 @@ def test_separation_generic_rank_property():
             continue
         ru, rv, rb = len(u.basis), len(v.basis), len(b.basis)
         if linear_rank(u, v, b) == ru + rv - rb:
-            assert separation_test(u, v, b) is None
+            assert excess_dim(u, v, b) == 0
 
 
 def test_conjugate_examples():
