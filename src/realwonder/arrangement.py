@@ -126,8 +126,17 @@ class Arrangement:
         return self.meet(a, b) == a
 
     def validate_strata(self) -> list[str]:
-        problems = self.ambient.validate()
-        for s in self.strata.values():
+        """Smith, parity, duality and partner checks of the ambient and
+        of every stratum."""
+        return self.ambient.validate() + self.validate_ids(self.strata)
+
+    def validate_ids(self, sids) -> list[str]:
+        """The per-stratum checks of validate_strata for the given ids.
+        The partner-payload check reads both strata of a pair, so a
+        stratum must be rechecked when its partner changes."""
+        problems = []
+        for sid in sids:
+            s = self.strata[sid]
             problems += s.validate()
             if s.partner is not None:
                 p = self.strata.get(s.partner)
@@ -173,7 +182,7 @@ def excess_dim(ga, gb, gc) -> int:
             sub.linear_rank(ga, gc)
             + sub.linear_rank(gb, gc)
             - sub.linear_rank(ga, gb, gc)
-            - len(gc.basis)
+            - len(gc.int_basis()[0])
         )
     ru, rv, rc = ga.indicator_rows(), gb.indicator_rows(), gc.indicator_rows()
     return (

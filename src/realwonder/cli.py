@@ -96,6 +96,8 @@ def _apply_seed_flags(arr, path: str):
     strata = dict(arr.strata)
     axioms = list(arr.flag_axioms)
     for sid, flags in sorted(data.items()):
+        if not isinstance(flags, dict):
+            raise InputError(f"seed-flags {sid}: expected a flag object, got {flags!r}")
         try:
             fs = FlagSet.from_dict(flags)
         except ValueError as exc:
@@ -165,6 +167,23 @@ def cmd_config(args) -> int:
     return EXIT_OK
 
 
+def _report_final(report: dict, path: str) -> dict:
+    """The "final" block of a machine report, after checking the keys
+    hilb2 reads and their types."""
+    final = report.get("final")
+    if not isinstance(final, dict):
+        raise InputError(f"{path}: report has no 'final' object")
+    wanted = {"verdict": str, "total_c": int, "total_r": int}
+    for key, kind in wanted.items():
+        value = final.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise InputError(f"{path}: report 'final.{key}' must be a {kind.__name__}")
+    dim = report.get("ambient_dim")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InputError(f"{path}: report 'ambient_dim' must be an int")
+    return final
+
+
 def cmd_hilb2(args) -> int:
     if args.report:
         try:
@@ -172,7 +191,7 @@ def cmd_hilb2(args) -> int:
                 report = from_json(handle.read())
         except OSError as exc:
             raise InputError(f"cannot read {args.report}: {exc}") from exc
-        final = report["final"]
+        final = _report_final(report, args.report)
         if final["verdict"] != "ConjugationSpace":
             raise InputError(
                 "only ConjugationSpace reports determine Smith data automatically"
@@ -211,7 +230,7 @@ def cmd_hilb2(args) -> int:
     sys.stdout.write("\n".join(lines) + "\n")
     if args.machine:
         with open(args.machine, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
+            handle.write(to_json(out))
     return EXIT_OK
 
 

@@ -541,7 +541,7 @@ def blow_up_step(arr: Arrangement, event=None):
         new_strata=tuple(created_all),
     )
 
-    _check_step(out, trace)
+    _check_step(arr, out, trace)
     return out, trace
 
 
@@ -598,10 +598,26 @@ def _apply_touching_pair_correction(
     return replace(cur, ambient=replace(amb, betti_r=amb_r), strata=strata)
 
 
-def _check_step(arr: Arrangement, trace: StepTrace):
+def _changed_strata(before: Arrangement, after: Arrangement) -> list:
+    """Ids of the strata a step may have invalidated, in arrangement
+    order: those that are new or not the same object as before the step
+    (strata are immutable, so the others were checked already), and the
+    partners of these before and after the step."""
+    old = before.strata
+    changed = [sid for sid, s in after.strata.items() if s is not old.get(sid)]
+    linked = set(changed)
+    for sid in changed:
+        for s in (old.get(sid), after.strata[sid]):
+            if s is not None and s.partner is not None:
+                linked.add(s.partner)
+    return [sid for sid in after.strata if sid in linked]
+
+
+def _check_step(before: Arrangement, arr: Arrangement, trace: StepTrace):
     """Always-on exact identities after a step: the deficiency ledger
     and Euler recursions, complex/real total recursions, Smith and
-    duality constraints for every stratum, and flag/ledger agreement."""
+    duality constraints for the ambient and every stratum the step
+    changed (with their partners), and flag/ledger agreement."""
     d = trace.codim
     expected_defi = trace.deficiency_before + (d - 1) * trace.event_defi
     if trace.deficiency_after != expected_defi:
@@ -622,7 +638,7 @@ def _check_step(arr: Arrangement, trace: StepTrace):
         d - 1
     ) * gp.total(trace.event_betti_r):
         raise InternalCheckError(f"real total recursion failed at {trace.event}")
-    problems = arr.validate_strata()
+    problems = arr.ambient.validate() + arr.validate_ids(_changed_strata(before, arr))
     if problems:
         raise InternalCheckError("; ".join(problems))
     if arr.ambient.flags.maximal is YES and trace.deficiency_after != 0:
@@ -632,7 +648,8 @@ def _check_step(arr: Arrangement, trace: StepTrace):
 
 
 def wonderful_run(arr: Arrangement) -> RunResult:
-    """Blow up all building events in order and report the verdict."""
+    """Blow up all building events in order, check every stratum once
+    more at the end, and report the verdict."""
     dims = [arr.strata[ev[0]].dim_c for ev in arr.events]
     if dims != sorted(dims):
         raise EngineError("building events are not in nondecreasing dimension order")
@@ -647,6 +664,9 @@ def wonderful_run(arr: Arrangement) -> RunResult:
         )
         if ledger.value != trace.deficiency_after:
             raise InternalCheckError("ledger diverged from Betti payloads")
+    problems = cur.validate_strata()
+    if problems:
+        raise InternalCheckError("; ".join(problems))
     final_verdict = flag_verdict(cur.ambient.flags, cur.ambient.betti_c)
     return RunResult(
         arrangement=cur,

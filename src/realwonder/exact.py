@@ -22,13 +22,6 @@ class GaussianRational:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
-    @staticmethod
-    def _raw(re: Fraction, im: Fraction) -> "GaussianRational":
-        obj = object.__new__(GaussianRational)
-        object.__setattr__(obj, "re", re)
-        object.__setattr__(obj, "im", im)
-        return obj
-
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 

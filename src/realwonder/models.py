@@ -461,9 +461,23 @@ def build_kt(
     """Kuperberg-Thurston style compactification for a user-supplied
     polydiagonal building set (list of block lists); the set is
     validated, never auto-completed."""
+    if not isinstance(building, (list, tuple)):
+        raise InputError("kt building set must be a list of partitions")
     parts = []
-    for blocks in building:
-        parts.append(SetPartition(n, blocks))
+    for i, blocks in enumerate(building):
+        if not isinstance(blocks, (list, tuple)) or not all(
+            isinstance(block, (list, tuple))
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in block)
+            for block in blocks
+        ):
+            raise InputError(
+                f"building entry {i}: expected a list of blocks of point "
+                f"numbers, got {blocks!r}"
+            )
+        try:
+            parts.append(SetPartition(n, blocks))
+        except ValueError as exc:
+            raise InputError(f"building entry {i}: {exc}") from exc
     if not parts:
         raise InputError("empty building set")
     arr = _config_arrangement(n, space, parts)

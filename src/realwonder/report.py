@@ -114,7 +114,68 @@ def build_report(model: dict, result: RunResult) -> dict:
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(report, sort_keys=True, indent=2) + "\\n".
+
+    That call takes the stdlib's pure-Python encoder (indent forces it);
+    this writer does the same in one pass over the plain values a report
+    holds, and rejects anything else."""
+    out = []
+    _write_json(report, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, newline: str, out: list, strings: dict) -> None:
+    """Append the indented JSON of value; newline is the line break
+    plus the indentation of value's own line.  strings memoizes the
+    encoded strings: a report repeats its stratum ids and case labels,
+    and sharing one encoded copy of each keeps the pieces small."""
+    if isinstance(value, str):
+        text = strings.get(value)
+        if text is None:
+            text = strings[value] = _encode_str(value)
+        out.append(text)
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            _write_json(key, inner, out, strings)
+            out.append(": ")
+            _write_json(value[key], inner, out, strings)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out, strings)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report value")
 
 
 def from_json(text: str) -> dict:

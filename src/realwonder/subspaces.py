@@ -1,16 +1,26 @@
 """Exact projective linear algebra over the Gaussian rationals.
 
-A ProjSubspace of P^N is identified by the reduced row echelon form of
-its defining linear equations (equivalently of its basis); equal
-subspaces therefore compare and hash equal.  All elimination is
-fraction-free over Gaussian integers, with rational normalization only
-at the boundary, so rank decisions are exact by construction.
+A ProjSubspace of P^N is identified by the canonical Gaussian-integer
+form of its defining linear equations: the reduced row echelon form,
+each row multiplied by the least positive integer that makes every entry
+integral.  Such a row has a positive integer pivot, zeros in the other
+pivot columns and integer content 1, and the RREF is unique, so equal
+subspaces have equal rows and compare and hash equal.  The rows are int
+tuples: `rows` holds their real parts and `im_rows` their imaginary
+parts, or None when the subspace is real (its RREF is then rational).
+
+All the work (intersections, sums, containment, ranks and kernels) is
+fraction-free elimination over the Gaussian integers, so rank decisions
+are exact by construction.  GaussianRational appears only at the
+boundary: input rows are integerized once, in from_constraints and
+from_basis_rows, and the GaussianRational constraints/basis rows are
+views built on demand for callers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 from .exact import GaussianRational
@@ -18,137 +28,197 @@ from .exact import GaussianRational
 # ----------------------------------------------------------------------
 # fraction-free elimination over Gaussian integers
 #
-# Rows are lists of (a, b) int pairs meaning a + b*i.  Row scaling does
-# not change the row space, so every Gaussian-rational matrix can be
-# integerized row by row.
+# A matrix is a pair (re, im) of row lists: row i is re[i] + im[i]*i,
+# and im is None when every imaginary part is 0.  Row scaling does not
+# change the row space, so every Gaussian-rational matrix is integerized
+# row by row, and rows are reduced by their integer content as they go.
+# Real matrices, the common case (M0,n with the standard real structure,
+# real DCP inputs), take an elimination on plain ints at about half the
+# work of the Gaussian one.
 
 
 def _int_rows(rows):
-    out = []
+    """Integer (re, im) matrix of Gaussian-rational rows."""
+    re_rows, im_rows = [], []
     for row in rows:
         den = 1
         for z in row:
-            den = den * z.re.denominator // gcd(den, z.re.denominator)
-            den = den * z.im.denominator // gcd(den, z.im.denominator)
-        if den == 1:
-            out.append([(z.re.numerator, z.im.numerator) for z in row])
-        else:
-            out.append([(int(z.re * den), int(z.im * den)) for z in row])
-    return out
+            den = lcm(den, z.re.denominator, z.im.denominator)
+        re_rows.append([z.re.numerator * (den // z.re.denominator) for z in row])
+        im_rows.append([z.im.numerator * (den // z.im.denominator) for z in row])
+    if not any(any(row) for row in im_rows):
+        return re_rows, None
+    return re_rows, im_rows
 
 
-def _row_reduce_content(row):
-    g = 0
-    for a, b in row:
-        g = gcd(g, abs(a))
-        g = gcd(g, abs(b))
-        if g == 1:
-            return row
-    if g > 1:
-        return [(a // g, b // g) for a, b in row]
-    return row
+def _jordan_real(mat, ncols, full):
+    """In-place elimination of integer rows by cross-multiplication.
 
-
-def _jordan_int(mat, ncols, full=True):
-    """In-place Gauss(-Jordan) elimination by cross-multiplication.
-
-    Returns the list of pivot columns.  With full=True rows above the
-    pivot are cleared too, so normalizing each row by its leading entry
-    afterwards yields the canonical RREF.
-    """
+    Returns the pivot columns and drops the zero rows.  With full=True
+    the rows above each pivot are cleared too (Gauss-Jordan), so every
+    row is zero in the other rows' pivot columns."""
     pivots = []
     r = 0
+    nrows = len(mat)
     for c in range(ncols):
-        src = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != (0, 0):
-                src = i
+        for src in range(r, nrows):
+            if mat[src][c]:
                 break
-        if src is None:
+        else:
             continue
         mat[r], mat[src] = mat[src], mat[r]
-        pa, pb = mat[r][c]
-        rng = range(len(mat)) if full else range(r + 1, len(mat))
-        for i in rng:
-            if i == r:
-                continue
-            ua, ub = mat[i][c]
-            if (ua, ub) == (0, 0):
-                continue
+        prow = mat[r]
+        p = prow[c]
+        for i in range(0 if full else r + 1, nrows):
             row = mat[i]
-            prow = mat[r]
-            new = []
-            for j in range(ncols):
-                xa, xb = row[j]
-                ya, yb = prow[j]
-                # pivot*row - entry*pivot_row
-                na = pa * xa - pb * xb - (ua * ya - ub * yb)
-                nb = pa * xb + pb * xa - (ua * yb + ub * ya)
-                new.append((na, nb))
-            mat[i] = _row_reduce_content(new)
+            u = row[c]
+            if not u or i == r:
+                continue
+            new = [p * x - u * y for x, y in zip(row, prow)]
+            g = gcd(*new)
+            mat[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == nrows:
             break
     del mat[r:]
     return pivots
 
 
-_raw = GaussianRational._raw
-_FRAC = {k: Fraction(k) for k in range(-8, 9)}
-
-
-def _frac(n, d=1):
-    if d == 1:
-        f = _FRAC.get(n)
-        return f if f is not None else Fraction(n)
-    return Fraction(n, d)
-
-
-def _normalize(mat, pivots, ncols):
-    """Divide each row by its leading entry; emit GaussianRational rows."""
-    out = []
-    for row, c in zip(mat, pivots):
-        pa, pb = row[c]
-        grow = []
-        if (pa, pb) == (1, 0):
-            for a, b in row:
-                grow.append(_raw(_frac(a), _frac(b)))
+def _jordan_gauss(mat, ncols, full):
+    """_jordan_real for Gaussian-integer rows given as (re, im) pairs."""
+    pivots = []
+    r = 0
+    nrows = len(mat)
+    for c in range(ncols):
+        for src in range(r, nrows):
+            if mat[src][0][c] or mat[src][1][c]:
+                break
         else:
-            norm = pa * pa + pb * pb
-            for a, b in row:
-                # (a+bi) / (pa+pb*i)
-                grow.append(
-                    _raw(_frac(a * pa + b * pb, norm), _frac(b * pa - a * pb, norm))
-                )
-        out.append(tuple(grow))
+            continue
+        mat[r], mat[src] = mat[src], mat[r]
+        pr, pi = mat[r]
+        pa, pb = pr[c], pi[c]
+        for i in range(0 if full else r + 1, nrows):
+            xr, xi = mat[i]
+            ua, ub = xr[c], xi[c]
+            if not (ua or ub) or i == r:
+                continue
+            # (pa + pb*i) * row - (ua + ub*i) * pivot_row
+            quads = list(zip(xr, xi, pr, pi))
+            nr = [pa * a - pb * b - ua * y + ub * z for a, b, y, z in quads]
+            ni = [pa * b + pb * a - ua * z - ub * y for a, b, y, z in quads]
+            g = gcd(*nr, *ni)
+            if g > 1:
+                nr = [x // g for x in nr]
+                ni = [x // g for x in ni]
+            mat[i] = (nr, ni)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    del mat[r:]
+    return pivots
+
+
+def rref(re, im, ncols):
+    """Canonical rows of the row space of an integer matrix (re, im).
+
+    Returns (re_rows, im_rows or None).  The RREF row with pivot 1 is
+    the fraction-free row divided by its pivot p; the fraction-free row
+    times conj(p) has the positive integer pivot |p|^2, and dividing it
+    by its integer content gives the least integral multiple of the RREF
+    row.  The input rows are not changed.
+    """
+    if im is None:
+        mat = list(re)
+        pivots = _jordan_real(mat, ncols, True)
+        out = []
+        for row, c in zip(mat, pivots):
+            g = gcd(*row)
+            if row[c] < 0:
+                g = -g
+            out.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+        return tuple(out), None
+    mat = list(zip(re, im))
+    pivots = _jordan_gauss(mat, ncols, True)
+    out_re, out_im = [], []
+    for (xr, xi), c in zip(mat, pivots):
+        pa, pb = xr[c], xi[c]
+        if pb:
+            xr, xi = (
+                [a * pa + b * pb for a, b in zip(xr, xi)],
+                [b * pa - a * pb for a, b in zip(xr, xi)],
+            )
+        g = gcd(*xr, *xi)
+        if xr[c] < 0:
+            g = -g
+        out_re.append(tuple(x // g for x in xr))
+        out_im.append(tuple(x // g for x in xi))
+    if not any(any(row) for row in out_im):
+        return tuple(out_re), None
+    return tuple(out_re), tuple(out_im)
+
+
+def _rank(re, im, ncols) -> int:
+    if im is None:
+        return len(_jordan_real(list(re), ncols, False))
+    return len(_jordan_gauss(list(zip(re, im)), ncols, False))
+
+
+def _stack(parts, ncols):
+    """One (re, im) matrix from the rows of several."""
+    re = [row for part_re, _ in parts for row in part_re]
+    if all(part_im is None for _, part_im in parts):
+        return re, None
+    zero = (0,) * ncols
+    im = [
+        row
+        for part_re, part_im in parts
+        for row in (part_im if part_im is not None else [zero] * len(part_re))
+    ]
+    return re, im
+
+
+def _kernel(re, im, ncols):
+    """Integer basis of {x : R x = 0} for canonical rows R.
+
+    Each free column f gives the vector with L at f and -R_i[f]*L/d_i at
+    the pivot of row i, where d_i is that row's pivot and L the lcm of
+    all pivots, so no entry needs a fraction."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in re]
+    big = lcm(*(row[c] for row, c in zip(re, pivots)))
+    scale = [big // row[c] for row, c in zip(re, pivots)]
+    free = sorted(set(range(ncols)) - set(pivots))
+    out_re, out_im = [], []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = big
+        for row, c, s in zip(re, pivots, scale):
+            vec[c] = -row[f] * s
+        out_re.append(tuple(vec))
+        if im is not None:
+            vec = [0] * ncols
+            for row, c, s in zip(im, pivots, scale):
+                vec[c] = -row[f] * s
+            out_im.append(tuple(vec))
+    return tuple(out_re), (tuple(out_im) if im is not None else None)
+
+
+def _gaussian_rows(re, im):
+    """GaussianRational view of canonical rows: each divided by its pivot."""
+    out = []
+    for k, row in enumerate(re):
+        d = next(x for x in row if x)
+        imag = im[k] if im is not None else (0,) * len(row)
+        out.append(
+            tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(row, imag))
+        )
     return tuple(out)
 
 
-def rref(rows, ncols):
-    """Canonical reduced row echelon form of Gaussian-rational rows."""
-    mat = _int_rows(rows)
-    pivots = _jordan_int(mat, ncols, full=True)
-    return _normalize(mat, pivots, ncols), pivots
-
-
-def rank_of_rows(rows, ncols) -> int:
-    mat = _int_rows(rows)
-    return len(_jordan_int(mat, ncols, full=False))
-
-
-def kernel_basis(rref_rows, pivots, ncols):
-    """Basis of {x : R x = 0} from an RREF matrix R."""
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [GaussianRational(0)] * ncols
-        vec[f] = GaussianRational(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -rref_rows[i][f]
-        basis.append(tuple(vec))
-    return basis
+def _conj_rows(im):
+    return None if im is None else tuple(tuple(-x for x in row) for row in im)
 
 
 # ----------------------------------------------------------------------
@@ -157,27 +227,36 @@ def kernel_basis(rref_rows, pivots, ncols):
 class ProjSubspace:
     """A projective-linear subspace of P^N (possibly empty).
 
-    Canonically represented by the RREF of its defining equations; the
-    basis (also in RREF) is derived lazily.  proj_dim of the empty
-    subspace is -1.
+    Canonically represented by the Gaussian-integer form of the RREF of
+    its defining equations (see the module docstring): real parts in
+    rows, imaginary parts in im_rows (None when the subspace is real).
+    The key, equality, hash, realness and conjugation read these int
+    tuples directly.  An integer basis of the underlying linear cone is
+    derived lazily; the GaussianRational constraints and basis rows are
+    views for callers.  proj_dim of the empty subspace is -1.
     """
 
     __slots__ = (
         "ambient_dim",
-        "constraints",
-        "_basis",
+        "rows",
+        "im_rows",
         "_key",
-        "_int_basis",
         "_hash",
+        "_int_basis",
+        "_constraints",
+        "_basis",
     )
 
-    def __init__(self, ambient_dim: int, constraints):
+    def __init__(self, ambient_dim: int, rows, im_rows=None):
+        """rows, im_rows: canonical rows, as produced by rref."""
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_int_basis", None)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "im_rows", im_rows)
+        object.__setattr__(self, "_key", (ambient_dim, rows, im_rows))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_int_basis", None)
+        object.__setattr__(self, "_constraints", None)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjSubspace is immutable")
@@ -186,16 +265,20 @@ class ProjSubspace:
 
     @classmethod
     def from_constraints(cls, ambient_dim: int, rows) -> "ProjSubspace":
-        cons, _ = rref(rows, ambient_dim + 1)
-        return cls(ambient_dim, cons)
+        re, im = rref(*_int_rows(rows), ambient_dim + 1)
+        return cls(ambient_dim, re, im)
 
     @classmethod
     def from_basis_rows(cls, ambient_dim: int, rows) -> "ProjSubspace":
-        basis, pivots = rref(rows, ambient_dim + 1)
-        cons = kernel_basis(basis, pivots, ambient_dim + 1)
-        cons_rref, _ = rref(cons, ambient_dim + 1) if cons else ((), [])
-        sub = cls(ambient_dim, cons_rref)
-        object.__setattr__(sub, "_basis", basis)
+        return cls._from_int_basis(ambient_dim, *_int_rows(rows))
+
+    @classmethod
+    def _from_int_basis(cls, ambient_dim: int, re, im) -> "ProjSubspace":
+        ncols = ambient_dim + 1
+        basis_re, basis_im = rref(re, im, ncols)
+        cons_re, cons_im = rref(*_kernel(basis_re, basis_im, ncols), ncols)
+        sub = cls(ambient_dim, cons_re, cons_im)
+        object.__setattr__(sub, "_int_basis", (basis_re, basis_im))
         return sub
 
     @classmethod
@@ -214,90 +297,77 @@ class ProjSubspace:
 
     @classmethod
     def empty(cls, ambient_dim: int) -> "ProjSubspace":
-        rows = [ProjSubspace._unit(ambient_dim + 1, j) for j in range(ambient_dim + 1)]
-        return cls(ambient_dim, tuple(rows))
-
-    @staticmethod
-    def _unit(n, j):
-        row = [GaussianRational(0)] * n
-        row[j] = GaussianRational(1)
-        return tuple(row)
+        n = ambient_dim + 1
+        return cls(
+            ambient_dim, tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        )
 
     # -- structure -----------------------------------------------------
 
     @property
     def proj_dim(self) -> int:
-        return self.ambient_dim - len(self.constraints)
+        return self.ambient_dim - len(self.rows)
 
     @property
     def is_empty(self) -> bool:
         return self.proj_dim < 0
 
+    def int_basis(self):
+        """Integer basis rows (re, im) of the underlying linear cone."""
+        if self._int_basis is None:
+            object.__setattr__(
+                self, "_int_basis", _kernel(self.rows, self.im_rows, self.ambient_dim + 1)
+            )
+        return self._int_basis
+
+    @property
+    def constraints(self):
+        """RREF rows of the defining equations, as GaussianRationals."""
+        if self._constraints is None:
+            object.__setattr__(
+                self, "_constraints", _gaussian_rows(self.rows, self.im_rows)
+            )
+        return self._constraints
+
     @property
     def basis(self):
-        """Canonical RREF basis rows of the underlying linear cone."""
+        """Canonical RREF basis rows of the underlying linear cone, as
+        GaussianRationals."""
         if self._basis is None:
-            cons = self.constraints
-            if not cons:
-                b = tuple(
-                    self._unit(self.ambient_dim + 1, j)
-                    for j in range(self.ambient_dim + 1)
-                )
-            else:
-                crows, pivots = rref(cons, self.ambient_dim + 1)
-                ker = kernel_basis(crows, pivots, self.ambient_dim + 1)
-                b, _ = rref(ker, self.ambient_dim + 1) if ker else ((), [])
-            object.__setattr__(self, "_basis", b)
+            re, im = rref(*self.int_basis(), self.ambient_dim + 1)
+            object.__setattr__(self, "_basis", _gaussian_rows(re, im))
         return self._basis
 
     def key(self):
-        if self._key is None:
-            object.__setattr__(
-                self,
-                "_key",
-                (
-                    self.ambient_dim,
-                    tuple(
-                        tuple((z.re, z.im) for z in row) for row in self.constraints
-                    ),
-                ),
-            )
         return self._key
-
-    def int_basis(self):
-        """Integerized basis rows, cached for rank computations."""
-        if self._int_basis is None:
-            object.__setattr__(self, "_int_basis", _int_rows(self.basis))
-        return self._int_basis
 
     def __eq__(self, other):
         if not isinstance(other, ProjSubspace):
             return NotImplemented
-        return self.key() == other.key()
+        return self._key == other._key
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.key()))
+            object.__setattr__(self, "_hash", hash(self._key))
         return self._hash
 
     def __repr__(self):
         return f"<ProjSubspace dim {self.proj_dim} in P^{self.ambient_dim}>"
 
     def conjugate(self) -> "ProjSubspace":
-        """Entrywise complex conjugation; RREF is preserved."""
-        cons = tuple(tuple(z.conjugate() for z in row) for row in self.constraints)
-        sub = ProjSubspace(self.ambient_dim, cons)
-        if self._basis is not None:
-            object.__setattr__(
-                sub,
-                "_basis",
-                tuple(tuple(z.conjugate() for z in row) for row in self._basis),
-            )
+        """Entrywise complex conjugation; the canonical form is kept
+        (pivots are real), so only the imaginary parts change sign."""
+        if self.im_rows is None:
+            return self
+        sub = ProjSubspace(self.ambient_dim, self.rows, _conj_rows(self.im_rows))
+        if self._int_basis is not None:
+            re, im = self._int_basis
+            object.__setattr__(sub, "_int_basis", (re, _conj_rows(im)))
         return sub
 
     @property
     def is_real(self) -> bool:
-        return all(z.is_real for row in self.constraints for z in row)
+        return self.im_rows is None
 
 
 # ----------------------------------------------------------------------
@@ -316,18 +386,20 @@ def span_points(points) -> ProjSubspace:
     if not points:
         raise ValueError("span of an empty point list")
     n = _common_ambient(*points)
-    rows = [row for p in points for row in p.basis]
-    return ProjSubspace.from_basis_rows(n, rows)
+    return ProjSubspace._from_int_basis(
+        n, *_stack([p.int_basis() for p in points], n + 1)
+    )
 
 
 def span_sum(u: ProjSubspace, v: ProjSubspace) -> ProjSubspace:
     n = _common_ambient(u, v)
-    return ProjSubspace.from_basis_rows(n, list(u.basis) + list(v.basis))
+    return ProjSubspace._from_int_basis(n, *_stack([u.int_basis(), v.int_basis()], n + 1))
 
 
 def intersect(u: ProjSubspace, v: ProjSubspace) -> ProjSubspace:
     n = _common_ambient(u, v)
-    return ProjSubspace.from_constraints(n, list(u.constraints) + list(v.constraints))
+    re, im = _stack([(u.rows, u.im_rows), (v.rows, v.im_rows)], n + 1)
+    return ProjSubspace(n, *rref(re, im, n + 1))
 
 
 def contains(u: ProjSubspace, v: ProjSubspace) -> bool:
@@ -335,16 +407,15 @@ def contains(u: ProjSubspace, v: ProjSubspace) -> bool:
     n = _common_ambient(u, v)
     if v.is_empty:
         return True
-    # v <= u  iff  constraints(u) lie in the row space of constraints(v)
-    cv = list(v.constraints)
-    return rank_of_rows(cv + list(u.constraints), n + 1) == len(cv)
+    # v <= u  iff  the equations of u lie in the row space of those of v
+    stacked = _stack([(v.rows, v.im_rows), (u.rows, u.im_rows)], n + 1)
+    return _rank(*stacked, n + 1) == len(v.rows)
 
 
 def linear_rank(*subs) -> int:
     """Rank of the stacked basis rows (cone dimension of the span)."""
     n = _common_ambient(*subs)
-    mat = [list(row) for s in subs for row in s.int_basis()]
-    return len(_jordan_int(mat, n + 1, full=False))
+    return _rank(*_stack([s.int_basis() for s in subs], n + 1), n + 1)
 
 
 def rnc_points(ambient_dim: int, params) -> list[ProjSubspace]:

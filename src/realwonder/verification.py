@@ -342,8 +342,10 @@ def check_hilbert_squares(samples: int = 1000, seed: int = 11):
 def check_global_properties(count: int = 100, nmax: int = 6):
     """Criterion 12: Smith inequality, parity and duality for every
     ambient and stratum after every step.  The engine asserts these
-    after each step and aborts on violation, so completion of the whole
-    corpus is the check; the final arrangements are re-validated here."""
+    after each step for the ambient and every stratum the step changed,
+    and for all strata at the end of a run, and aborts on violation, so
+    completion of the whole corpus is the check; the final arrangements
+    are re-validated here."""
     runs = 0
     for desc, result in corpus_runs(count=count, nmax=nmax):
         problems = result.arrangement.validate_strata()

@@ -13,7 +13,11 @@ from realwonder.engine import (
     classify_case,
     wonderful_run,
 )
-from realwonder.errors import EngineError, UnsupportedExcessIntersection
+from realwonder.errors import (
+    EngineError,
+    InternalCheckError,
+    UnsupportedExcessIntersection,
+)
 from realwonder.exact import gq
 from realwonder.models import build_dcp, build_moduli, parse_sigma
 from realwonder.subspaces import rnc_points, span_points
@@ -294,3 +298,93 @@ def test_separation_memo_is_per_run(monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+def _corrupt_at_step(monkeypatch, arr, k, pick, corrupt):
+    """Run arr with stratum pick(out, cls, cid) replaced by
+    corrupt(stratum) inside step k; return the error and the arrangement
+    the failing step check saw."""
+    from realwonder import engine
+
+    steps = []
+    checked = []
+    picked = []
+    step, elementary, check = engine.blow_up_step, engine._elementary, engine._check_step
+
+    def counting_step(a, event=None):
+        steps.append(a.events[0])
+        return step(a, event)
+
+    def corrupting(a, cid):
+        out, cls, created = elementary(a, cid)
+        if len(steps) == k and not picked:
+            sid = pick(out, cls, cid)
+            picked.append(sid)
+            strata = dict(out.strata)
+            strata[sid] = corrupt(strata[sid])
+            out = replace(out, strata=strata)
+        return out, cls, created
+
+    def capturing(before, after, trace):
+        checked.append(after)
+        return check(before, after, trace)
+
+    monkeypatch.setattr(engine, "blow_up_step", counting_step)
+    monkeypatch.setattr(engine, "_elementary", corrupting)
+    monkeypatch.setattr(engine, "_check_step", capturing)
+    with pytest.raises(InternalCheckError) as info:
+        wonderful_run(arr)
+    assert len(steps) == k and len(checked) == k and picked
+    return str(info.value), checked[-1], picked[0]
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_changed_strata_check_catches_corrupt_payload(monkeypatch, k):
+    """A payload broken at step k stops the run at step k, with the
+    problems a full validate_strata finds."""
+
+    def off_by_two(s):
+        return replace(s, betti_c=gp.add(s.betti_c, gp.BettiVector([2])))
+
+    message, arr, sid = _corrupt_at_step(
+        monkeypatch,
+        build_moduli(parse_sigma("id", 6)),
+        k,
+        lambda out, cls, cid: cid,
+        off_by_two,
+    )
+    full = arr.validate_strata()
+    assert full == [f"{sid}: complex Betti not palindromic"]
+    assert message.split("; ") == full
+
+
+def test_changed_strata_check_rechecks_partner(monkeypatch):
+    """A paired stratum changed at a step it is otherwise untouched by
+    is caught through the partner-payload check, which reads its
+    unchanged mate as well."""
+
+    def untouched_pair_member(out, cls, cid):
+        return min(
+            sid
+            for sid, c in cls.items()
+            if c == DISJOINT
+            and out.strata[sid].partner is not None
+            and cls[out.strata[sid].partner] == DISJOINT
+        )
+
+    def doubled(s):
+        return replace(s, betti_c=gp.BettiVector([2 * c for c in s.betti_c]))
+
+    message, arr, sid = _corrupt_at_step(
+        monkeypatch,
+        build_moduli(parse_sigma("(1 2)", 6)),
+        2,
+        untouched_pair_member,
+        doubled,
+    )
+    mate = arr.strata[sid].partner
+    full = arr.validate_strata()
+    assert sorted(full) == sorted(
+        [f"{sid}: partner payload mismatch", f"{mate}: partner payload mismatch"]
+    )
+    assert message.split("; ") == full

@@ -23,6 +23,41 @@ def test_report_roundtrip_identity():
     assert to_json(from_json(text)) == text
 
 
+def _reference_json(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "sigma, n", [("id", 4), ("(1 2)", 5), ("(1 2)(3 4)", 6), ("id", 6)]
+)
+def test_to_json_matches_stdlib_on_reports(sigma, n):
+    report = run_report(sigma, n)
+    assert to_json(report) == _reference_json(report)
+
+
+def test_to_json_matches_stdlib_on_edge_values():
+    report = run_report("id", 4)  # no steps: "steps": [], "flag_axioms" lists
+    report["model"] = {
+        "kind": "dcp",
+        "file": "k\u00e4hler/\u0394 \"quoted\"\n\ttab\\.json",
+        "empty_dict": {},
+        "empty_list": [],
+        "nested": [[], {}, [[]], {"z": None, "a": [True, False, -7, 0]}],
+        "big": 10**40,
+        "\u00e9t\u00e9": "\U0001d54a",
+    }
+    assert report["steps"] == []
+    assert to_json(report) == _reference_json(report)
+    for value in ({}, [], "", 0, None):
+        assert to_json(value) == _reference_json(value)
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "x"}, {"a": {2}}])
+def test_to_json_rejects_non_report_values(bad):
+    with pytest.raises(TypeError):
+        to_json(bad)
+
+
 def test_report_schema_guard():
     report = run_report()
     report["schema_version"] = 99
@@ -233,3 +268,51 @@ def test_cli_verify_core_smoke(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert out.count("[pass]") == 12
+
+
+def test_cli_seed_flags_value_not_object(tmp_path, capsys):
+    flags = tmp_path / "flags.json"
+    flags.write_text(json.dumps({"ambient": 5}))
+    assert cli.main(["moduli", "--n", "5", "--seed-flags", str(flags)]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "building",
+    [[[[1, 2, 3]], 5], [[[1, 2, "a"]]], [[[1, 2, 9]]], 7],
+    ids=["entry-not-list", "point-not-int", "point-out-of-range", "not-list"],
+)
+def test_cli_kt_malformed_building(tmp_path, capsys, building):
+    space = tmp_path / "p1.json"
+    space.write_text(
+        json.dumps({"name": "P1", "dim_c": 1, "betti_c": [1, 0, 1], "betti_r": [1, 1]})
+    )
+    path = tmp_path / "building.json"
+    path.write_text(json.dumps(building))
+    argv = ["config", "--model", "kt", "--n", "3", "--space", str(space)]
+    assert cli.main(argv + ["--building", str(path)]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"schema_version": 1},
+        {"schema_version": 1, "final": [], "ambient_dim": 2},
+        {
+            "schema_version": 1,
+            "ambient_dim": 2,
+            "final": {"verdict": "ConjugationSpace", "total_c": "9", "total_r": 3},
+        },
+        {
+            "schema_version": 1,
+            "final": {"verdict": "ConjugationSpace", "total_c": 9, "total_r": 3},
+        },
+    ],
+    ids=["no-final", "final-not-object", "total-not-int", "no-ambient-dim"],
+)
+def test_cli_hilb2_report_missing_keys(tmp_path, capsys, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert cli.main(["hilb2", "--report", str(path)]) == 2
+    assert "input error:" in capsys.readouterr().err
