@@ -33,8 +33,9 @@ from .exact import GaussianRational
 # change the row space, so every Gaussian-rational matrix is integerized
 # row by row, and rows are reduced by their integer content as they go.
 # Real matrices, the common case (M0,n with the standard real structure,
-# real DCP inputs), take an elimination on plain ints at about half the
-# work of the Gaussian one.
+# real DCP inputs), take an elimination on plain ints: sending them
+# through the Gaussian one with zero imaginary parts makes an M0,8 job
+# about 43% slower (8.3 s instead of 5.8 s on a 2-CPU host).
 
 
 def _int_rows(rows):

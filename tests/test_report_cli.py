@@ -308,8 +308,17 @@ def test_cli_kt_malformed_building(tmp_path, capsys, building):
             "schema_version": 1,
             "final": {"verdict": "ConjugationSpace", "total_c": 9, "total_r": 3},
         },
+        [],
+        5,
     ],
-    ids=["no-final", "final-not-object", "total-not-int", "no-ambient-dim"],
+    ids=[
+        "no-final",
+        "final-not-object",
+        "total-not-int",
+        "no-ambient-dim",
+        "top-level-list",
+        "top-level-int",
+    ],
 )
 def test_cli_hilb2_report_missing_keys(tmp_path, capsys, report):
     path = tmp_path / "report.json"
