@@ -12,6 +12,11 @@ Per step, every stratum falls into one case relative to the center C
                  projectivized normal bundle of C inside A.
   ProperMeet     same with C replaced by M = A∧C.
 
+Only the center and the strata of its table row (those that meet it)
+are classified, updated and recorded, so a step costs in proportion to
+that row, not to the arrangement: a stratum absent from a step's
+classification, or from StepTrace.cases, is Disjoint.
+
 The intersection table is updated by id-level rules; the only geometric
 input is the clean-sum separation test when two transforms met inside
 the center.  Exceptional pieces that coincide with full preimage fibers
@@ -79,11 +84,19 @@ class StepTrace:
     """Per-event record; all reported numbers are recomputable from it:
     complex totals and Euler characteristics change by (d-1) times those
     of event_betti_c, real totals by (d-1) times event_betti_r, and
-    event_defi = total(event_betti_c) - total(event_betti_r)."""
+    event_defi = total(event_betti_c) - total(event_betti_r).
+
+    cases is sparse: it maps each stratum some center of the event
+    touched to its labels, one per center (Disjoint where that center
+    missed it); a stratum absent from cases is Disjoint from every
+    center.  created holds the exceptional pieces each center made, in
+    event order; a piece made by the first center of a pair exists
+    only for the second."""
 
     event: tuple
     codim: int
     cases: dict
+    created: tuple
     event_betti_c: gp.BettiVector
     event_betti_r: gp.BettiVector
     betti_c_before: gp.BettiVector
@@ -92,7 +105,10 @@ class StepTrace:
     betti_r_after: gp.BettiVector
     deficiency_before: int
     deficiency_after: int
-    new_strata: tuple
+
+    @property
+    def new_strata(self) -> tuple:
+        return tuple(nid for created in self.created for nid in created)
 
     @property
     def event_defi(self) -> int:
@@ -186,32 +202,17 @@ def _elementary(arr: Arrangement, cid: str):
 
     # strata disjoint from the center keep their payload AND their whole
     # table row verbatim (any pair involving a Disjoint stratum meets in
-    # an untouched stratum), so only "touched" rows are recomputed
+    # an untouched stratum), so only the center and its table row, the
+    # "touched" strata, are classified and recomputed; a stratum absent
+    # from cls is Disjoint
     center_row = arr.table.get(cid, {})
-    cls = {sid: DISJOINT for sid in strata}
-    cls[cid] = CENTER
+    cls = {cid: CENTER}
     for sid, m in center_row.items():
         if m is UNRESOLVED:
             raise UnsupportedExcessIntersection(
                 f"intersection of {sid} and center {cid} is unresolved"
             )
         cls[sid] = _case_of_meet(sid, cid, m)
-
-    # exceptional pieces of ContainsCenter / ProperMeet strata
-    resolved_new = {}
-    new_defs = []
-    for sid, c in cls.items():
-        if c not in (CONTAINS, PROPER):
-            continue
-        mid = cid if c == CONTAINS else arr.meet(sid, cid)
-        d_s = strata[sid].dim_c - strata[mid].dim_c
-        if c == PROPER and d_s == d:
-            # transversal meet: A~∩E is the whole fiber preimage of M
-            resolved_new[sid] = mid
-        else:
-            nid = f"{sid}^{cid}"
-            resolved_new[sid] = nid
-            new_defs.append((nid, sid, mid, d_s))
 
     # ambient: always ContainsCenter
     amb = arr.ambient
@@ -224,28 +225,35 @@ def _elementary(arr: Arrangement, cid: str):
 
     fiber_c = gp.bundle_factor(d, 2)
     fiber_r = gp.bundle_factor(d, 1)
-    new_strata = {}
-    for sid, s in strata.items():
-        c = cls[sid]
-        if c == DISJOINT:
-            new_strata[sid] = s
-        elif c in (CENTER, INSIDE):
+    new_strata = dict(strata)  # Disjoint strata keep their payload
+    resolved_new = {}
+    new_defs = []  # exceptional pieces of ContainsCenter / ProperMeet strata
+    for sid, c in cls.items():
+        s = strata[sid]
+        if c in (CENTER, INSIDE):
             new_strata[sid] = replace(
                 s,
                 dim_c=s.dim_c + d - 1,
                 betti_c=gp.kunneth(s.betti_c, fiber_c),
                 betti_r=gp.kunneth(s.betti_r, fiber_r),
             )
+            continue
+        mid = center_row[sid]  # the center itself when ContainsCenter
+        m = strata[mid]
+        d_s = s.dim_c - m.dim_c
+        bc = gp.add(s.betti_c, gp.blowup_terms(m.betti_c, d_s, 2))
+        if s.real_status == REAL and m.real_status == REAL:
+            br = gp.add(s.betti_r, gp.blowup_terms(m.betti_r, d_s, 1))
         else:
-            mid = cid if c == CONTAINS else arr.meet(sid, cid)
-            m = strata[mid]
-            d_s = s.dim_c - m.dim_c
-            bc = gp.add(s.betti_c, gp.blowup_terms(m.betti_c, d_s, 2))
-            if s.real_status == REAL and m.real_status == REAL:
-                br = gp.add(s.betti_r, gp.blowup_terms(m.betti_r, d_s, 1))
-            else:
-                br = s.betti_r
-            new_strata[sid] = replace(s, betti_c=bc, betti_r=br)
+            br = s.betti_r
+        new_strata[sid] = replace(s, betti_c=bc, betti_r=br)
+        if c == PROPER and d_s == d:
+            # transversal meet: A~∩E is the whole fiber preimage of M
+            resolved_new[sid] = mid
+        else:
+            nid = f"{sid}^{cid}"
+            resolved_new[sid] = nid
+            new_defs.append((nid, sid, mid, d_s))
 
     for nid, sid, mid, d_s in sorted(new_defs):
         s, m = strata[sid], strata[mid]
@@ -296,8 +304,6 @@ def _elementary(arr: Arrangement, cid: str):
     def tt_value(a, b, m):
         ca, cb = cls[a], cls[b]
         pair = {ca, cb}
-        if DISJOINT in pair:
-            return m
         if pair <= {INSIDE}:
             return m
         if pair == {INSIDE, CENTER}:
@@ -355,11 +361,11 @@ def _elementary(arr: Arrangement, cid: str):
     created_set = set(created)
 
     def and_e(v):
-        if v is None or v is UNRESOLVED:
-            return v
-        if v in created_set:
+        """The meet of the nonempty new meet v with the exceptional
+        divisor, or None when empty."""
+        if v is UNRESOLVED or v in created_set:
             return v  # an exceptional piece created this step
-        c = cls[v]
+        c = cls.get(v, DISJOINT)
         if c in (INSIDE, CENTER):
             return v
         if c == DISJOINT:
@@ -368,21 +374,26 @@ def _elementary(arr: Arrangement, cid: str):
 
     for nid in created:
         sid = sources[nid]
+        row = new_table[sid]  # holds no entry for sid itself
         nrow = {sid: nid}
         # NEW(S)∧T(S') = (T(S)∧T(S'))∧E; nonempty only for touched S'
         for other in touched:
-            val = and_e(new_table[sid].get(other) if other != sid else sid)
-            if val is not None and other != sid:
-                nrow[other] = val
+            v = row.get(other)
+            if v is not None:
+                val = and_e(v)
+                if val is not None:
+                    nrow[other] = val
         new_table[nid] = nrow
     # NEW(S)∧NEW(S') reduces to the same formula
     for i, nid in enumerate(created):
-        sid = sources[nid]
+        row = new_table[sources[nid]]
         for nid2 in created[:i]:
-            val = and_e(new_table[sid].get(sources[nid2]))
-            if val is not None:
-                new_table[nid][nid2] = val
-                new_table[nid2][nid] = val
+            v = row.get(sources[nid2])
+            if v is not None:
+                val = and_e(v)
+                if val is not None:
+                    new_table[nid][nid2] = val
+                    new_table[nid2][nid] = val
     for nid in created:
         for other, val in new_table[nid].items():
             if other not in created_set:
@@ -420,9 +431,11 @@ def blow_up_step(arr: Arrangement, event=None):
         raise EngineError(f"single event {event} on a paired stratum")
 
     d = arr.codim(event[0])
+    # a remaining event stratum inside the center meets it, so it is in
+    # the center's table row
     remaining = {sid for ev in arr.events[1:] for sid in ev}
-    for b in remaining:
-        if arr.leq(b, event[0]) and b != event[0]:
+    for b in arr.table.get(event[0], ()):
+        if b in remaining and arr.leq(b, event[0]):
             raise EngineError(f"center {event[0]} is not minimal: contains {b}")
 
     is_pair = len(event) == 2
@@ -454,15 +467,16 @@ def blow_up_step(arr: Arrangement, event=None):
     defi_before = gp.total(before_c) - gp.total(before_r)
 
     cur = arr
-    case_record = {}
-    created_all = []
+    case_record = {}  # touched strata only: the rest are Disjoint throughout
+    created_by = []
     event_bc = gp.ZERO
-    for cid in event:
+    for i, cid in enumerate(event):
         event_bc = gp.add(event_bc, cur.strata[cid].betti_c)
         cur, cls, created = _elementary(cur, cid)
-        created_all += created
+        created_by.append(tuple(created))
         for sid, label in cls.items():
-            case_record.setdefault(sid, []).append(label)
+            case_record.setdefault(sid, [DISJOINT] * len(event))[i] = label
+    created_all = [nid for created in created_by for nid in created]
 
     if touching_pair:
         cur = _apply_touching_pair_correction(cur, arr, pair_meet, d)
@@ -530,6 +544,7 @@ def blow_up_step(arr: Arrangement, event=None):
         event=event,
         codim=d,
         cases={sid: tuple(labels) for sid, labels in sorted(case_record.items())},
+        created=tuple(created_by),
         event_betti_c=event_bc,
         event_betti_r=event_br,
         betti_c_before=before_c,
@@ -538,7 +553,6 @@ def blow_up_step(arr: Arrangement, event=None):
         betti_r_after=after_r,
         deficiency_before=defi_before,
         deficiency_after=defi_after,
-        new_strata=tuple(created_all),
     )
 
     _check_step(arr, out, trace)

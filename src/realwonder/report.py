@@ -10,17 +10,28 @@ from __future__ import annotations
 import json
 
 from . import gradedpoly as gp
-from .engine import RunResult
+from .engine import DISJOINT, RunResult
 from .errors import InputError
 
 SCHEMA_VERSION = 1
 
 
-def trace_to_dict(trace) -> dict:
+def trace_to_dict(trace, present) -> dict:
+    """The v1 record of a step.  Its cases are dense: every stratum in
+    present (the ids before the step) gets one label per center, and a
+    piece the first center of a pair made gets the second's label.  The
+    Disjoint ones the sparse trace leaves out share one list per
+    length."""
+    disjoint = [DISJOINT] * len(trace.event)
+    first = set(trace.created[0]) if len(trace.event) == 2 else set()
+    cases = dict.fromkeys(present, disjoint)
+    cases.update(dict.fromkeys(first, disjoint[1:]))
+    for sid, labels in trace.cases.items():
+        cases[sid] = list(labels[1:] if sid in first else labels)
     return {
         "event": list(trace.event),
         "codim": trace.codim,
-        "cases": {sid: list(labels) for sid, labels in trace.cases.items()},
+        "cases": cases,
         "event_betti_c": list(trace.event_betti_c),
         "event_betti_r": list(trace.event_betti_r),
         "betti_c_before": list(trace.betti_c_before),
@@ -83,6 +94,18 @@ def verify_trace_identities(report: dict) -> list:
     return checks
 
 
+def _steps(arr, traces) -> list:
+    """The step records; strata are never removed, so the ids before a
+    step are the final ones less those the step and later steps made."""
+    made = {nid for trace in traces for nid in trace.new_strata}
+    present = [sid for sid in arr.strata if sid not in made]
+    steps = []
+    for trace in traces:
+        steps.append(trace_to_dict(trace, present))
+        present += trace.new_strata
+    return steps
+
+
 def build_report(model: dict, result: RunResult) -> dict:
     arr = result.arrangement
     final = {
@@ -103,7 +126,7 @@ def build_report(model: dict, result: RunResult) -> dict:
         "final": final,
         "flag_axioms": [list(ax) for ax in arr.flag_axioms],
         "stratum_count": len(arr.strata),
-        "steps": [trace_to_dict(t) for t in result.traces],
+        "steps": _steps(arr, result.traces),
         "ledger": {
             "value": result.ledger.value,
             "contributions": [list(c) for c in result.ledger.contributions],

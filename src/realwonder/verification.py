@@ -8,6 +8,7 @@ tolerances).
 from __future__ import annotations
 
 import random
+from math import comb
 
 from . import gradedpoly as gp
 from .engine import wonderful_run
@@ -270,11 +271,19 @@ def check_config_models():
 
 
 def check_braid_oracle(nmax: int = 6):
-    """Criterion 10: the partition and linear backends produce identical
-    step traces and final Betti vectors."""
+    """Criterion 10: the partition and linear backends produce the same
+    strata, identical step traces and final Betti vectors.  Traces list
+    only the strata a center touched, so the stratum ids are compared
+    on their own, before and after the run."""
     for n in range(3, nmax + 1):
-        rp = wonderful_run(build_braid(n, "partition"))
-        rl = wonderful_run(build_braid(n, "linear"))
+        ap = build_braid(n, "partition")
+        al = build_braid(n, "linear")
+        if set(ap.strata) != set(al.strata):
+            return False, f"n={n}: initial strata differ"
+        rp = wonderful_run(ap)
+        rl = wonderful_run(al)
+        if set(rp.arrangement.strata) != set(rl.arrangement.strata):
+            return False, f"n={n}: final strata differ"
         if rp.betti_c != rl.betti_c or rp.betti_r != rl.betti_r:
             return False, f"n={n}: final Betti differ"
         if len(rp.traces) != len(rl.traces):
@@ -282,7 +291,52 @@ def check_braid_oracle(nmax: int = 6):
         for tp, tl in zip(rp.traces, rl.traces):
             if tp != tl:
                 return False, f"n={n}: trace at {tp.event} differs"
-    return True, f"identical traces and Betti vectors for n <= {nmax}"
+    return True, f"same strata, identical traces and Betti vectors for n <= {nmax}"
+
+
+def keel_poincare(n: int) -> list:
+    """Coefficients of the Poincare polynomial of M̅0,n in q = t^2
+    (n >= 3), by Keel's recursion (Keel 1992, Trans. AMS 330):
+        P_3 = 1,
+        P_{m+1} = (1+q) P_m + (q/2) sum_{j=2}^{m-2} C(m,j) P_{j+1} P_{m-j+1}.
+    Plain integer lists, independent of the blow-up engine."""
+
+    def mul(p, r):
+        out = [0] * (len(p) + len(r) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(r):
+                out[i + j] += a * b
+        return out
+
+    def add(p, r):
+        out = [0] * max(len(p), len(r))
+        for poly in (p, r):
+            for i, c in enumerate(poly):
+                out[i] += c
+        return out
+
+    polys = {3: [1]}
+    for m in range(3, n):
+        acc = [0]
+        for j in range(2, m - 1):
+            acc = add(acc, [comb(m, j) * c for c in mul(polys[j + 1], polys[m - j + 1])])
+        # the sum is symmetric in j <-> m-j and C(m, m/2) is even, so halving is exact
+        polys[m + 1] = add(mul([1, 1], polys[m]), [0] + [c // 2 for c in acc])
+    return polys[n]
+
+
+def check_moduli_keel(nmax: int = 8):
+    """Keel's recursion against the engine for M̅0,n with sigma = id:
+    the complex vector carries the recursion's coefficients in even
+    degrees (zeros in odd ones), and the real vector equals them."""
+    for n in range(4, nmax + 1):
+        q = keel_poincare(n)
+        res = wonderful_run(build_moduli(parse_sigma("id", n)))
+        complex_expected = [0] * (2 * len(q) - 1)
+        complex_expected[::2] = q
+        if list(res.betti_c) != complex_expected or list(res.betti_r) != q:
+            return False, f"n={n}: {list(res.betti_c)}/{list(res.betti_r)}, Keel {q}"
+    return True, f"complex and real vectors match Keel's recursion for n <= {nmax}"
 
 
 def check_hilbert_squares(samples: int = 1000, seed: int = 11):
@@ -364,6 +418,7 @@ CHECKS = [
     ("moduli-n5-transposition", check_moduli_n5_transposition, {}, {}),
     ("moduli-n5-double-pair", check_moduli_n5_double_pair, {}, {}),
     ("moduli-n6-id", check_moduli_n6_id, {}, {}),
+    ("moduli-keel", check_moduli_keel, {"nmax": 7}, {"nmax": 8}),
     ("sigma-independence", check_sigma_independence,
      {"nmax": 6, "per_type": 1}, {"nmax": 7}),
     ("step-identities", check_step_identities,

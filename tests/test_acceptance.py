@@ -71,3 +71,15 @@ def test_criterion_11_hilbert_squares():
 def test_criterion_12_global_properties():
     ok, detail = vf.check_global_properties(count=100, nmax=6)
     _announce(12, "Smith/parity/duality for all strata every step", ok, detail)
+
+
+def test_criterion_13_moduli_keel():
+    ok, detail = vf.check_moduli_keel(nmax=7)
+    _announce(13, "M̅0,n sigma=id against Keel's recursion (n<=7)", ok, detail)
+
+
+def test_keel_recursion_values():
+    """The recursion itself, against the published totals beyond the
+    engine's routine reach: n=9 and n=10."""
+    assert vf.keel_poincare(9) == [1, 219, 3292, 7723, 3292, 219, 1]
+    assert sum(vf.keel_poincare(10)) == 153946

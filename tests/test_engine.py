@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from realwonder import gradedpoly as gp
-from realwonder.arrangement import AMBIENT_ID
+from realwonder.arrangement import AMBIENT_ID, UNRESOLVED
 from realwonder.engine import (
     CONTAINS,
     DISJOINT,
@@ -19,7 +19,8 @@ from realwonder.errors import (
     UnsupportedExcessIntersection,
 )
 from realwonder.exact import gq
-from realwonder.models import build_dcp, build_moduli, parse_sigma
+from realwonder.models import SpaceData, build_dcp, build_fm, build_moduli, parse_sigma
+from realwonder.report import build_report
 from realwonder.subspaces import rnc_points, span_points
 
 
@@ -258,6 +259,19 @@ def test_minimality_enforced():
         wonderful_run(broken)
 
 
+def test_minimality_enforced_at_the_step():
+    """blow_up_step itself rejects a center that contains a remaining
+    event stratum, and a center whose meet with one is unresolved."""
+    arr = dcp(3, [("pt", [0]), ("line", [0, 1])])
+    broken = replace(arr, events=(("line",), ("pt",)))
+    with pytest.raises(EngineError, match="line is not minimal: contains pt"):
+        blow_up_step(broken)
+    table = {sid: dict(row) for sid, row in arr.table.items()}
+    table["line"]["pt"] = table["pt"]["line"] = UNRESOLVED
+    with pytest.raises(UnsupportedExcessIntersection, match="pt and line is not representable"):
+        blow_up_step(replace(broken, table=table))
+
+
 def test_trace_contents():
     arr = dcp(2, [("pt", [0])])
     res = wonderful_run(arr)
@@ -268,6 +282,56 @@ def test_trace_contents():
     assert trace.event_defi == 0
     assert trace.betti_c_before == [1, 0, 1, 0, 1]
     assert trace.betti_c_after == [1, 0, 2, 0, 1]
+
+
+def _fixed_dcp():
+    """Two real lines through a real point and a conjugate pair of
+    points on a real line of P^3."""
+    p0, p1, p2, z, zbar = rnc_points(3, [gq(0), gq(1), gq(2), gq(0, 1), gq(0, -1)])
+    generators = [
+        ("l01", span_points([p0, p1])),
+        ("l02", span_points([p0, p2])),
+        ("z", z),
+        ("zbar", zbar),
+        ("lz", span_points([z, zbar])),
+    ]
+    return build_dcp(3, generators)
+
+
+@pytest.mark.parametrize(
+    "build, has_pairs",
+    [
+        (lambda: build_moduli(parse_sigma("(1 2)", 6)), True),
+        (lambda: build_fm(4, SpaceData.projective_space(1)), False),
+        (_fixed_dcp, True),
+    ],
+    ids=["moduli-n6-(1 2)", "fm-n4-P1", "dcp-fixed"],
+)
+def test_sparse_cases_match_classification(build, has_pairs):
+    """The report's dense cases equal classify_case on every stratum
+    present before each event (for a pair, against the second center
+    on the arrangement after the first), and the trace records no
+    stratum that every center of its event missed."""
+    from realwonder import engine
+
+    res = wonderful_run(build())
+    steps = build_report({}, res)["steps"]
+    assert len(steps) == len(res.traces)
+    arr = build()
+    pairs = 0
+    for k, trace in enumerate(res.traces):
+        event = arr.events[0]
+        expected = {sid: [classify_case(arr, sid, event[0])] for sid in arr.strata}
+        if len(event) == 2:
+            pairs += 1
+            mid, _, _ = engine._elementary(arr, event[0])
+            for sid in mid.strata:
+                expected.setdefault(sid, []).append(classify_case(mid, sid, event[1]))
+        assert steps[k]["cases"] == expected
+        assert all(set(labels) != {DISJOINT} for labels in trace.cases.values())
+        assert all(len(labels) == len(event) for labels in trace.cases.values())
+        arr, _ = blow_up_step(arr)
+    assert bool(pairs) == has_pairs
 
 
 def test_empty_run():
@@ -366,10 +430,10 @@ def test_changed_strata_check_rechecks_partner(monkeypatch):
     def untouched_pair_member(out, cls, cid):
         return min(
             sid
-            for sid, c in cls.items()
-            if c == DISJOINT
-            and out.strata[sid].partner is not None
-            and cls[out.strata[sid].partner] == DISJOINT
+            for sid, s in out.strata.items()
+            if sid not in cls
+            and s.partner is not None
+            and s.partner not in cls
         )
 
     def doubled(s):

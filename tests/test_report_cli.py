@@ -23,6 +23,47 @@ def test_report_roundtrip_identity():
     assert to_json(from_json(text)) == text
 
 
+def test_trace_to_dict_expands_sparse_cases():
+    """Absent strata are Disjoint for every center, through one shared
+    list; a piece the first center of a pair made has one label."""
+    from realwonder import gradedpoly as gp
+    from realwonder.engine import CENTER, CONTAINS, DISJOINT, INSIDE, StepTrace
+    from realwonder.report import trace_to_dict
+
+    zero = gp.ZERO
+    trace = StepTrace(
+        event=("c", "cbar"),
+        codim=2,
+        cases={
+            "a": (CONTAINS, DISJOINT),
+            "a^c": (DISJOINT, INSIDE),
+            "c": (CENTER, DISJOINT),
+            "cbar": (DISJOINT, CENTER),
+        },
+        created=(("a^c", "b^c"), ("abar^cbar",)),
+        event_betti_c=zero,
+        event_betti_r=zero,
+        betti_c_before=zero,
+        betti_c_after=zero,
+        betti_r_before=zero,
+        betti_r_after=zero,
+        deficiency_before=0,
+        deficiency_after=0,
+    )
+    step = trace_to_dict(trace, ["a", "abar", "b", "c", "cbar"])
+    assert step["cases"] == {
+        "a": [CONTAINS, DISJOINT],
+        "abar": [DISJOINT, DISJOINT],
+        "b": [DISJOINT, DISJOINT],
+        "c": [CENTER, DISJOINT],
+        "cbar": [DISJOINT, CENTER],
+        "a^c": [INSIDE],
+        "b^c": [DISJOINT],
+    }
+    assert step["cases"]["abar"] is step["cases"]["b"]
+    assert step["new_strata"] == ["a^c", "b^c", "abar^cbar"]
+
+
 def _reference_json(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -267,7 +308,7 @@ def test_cli_verify_core_smoke(capsys):
     assert cli.main(["verify", "--suite", "core"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
-    assert out.count("[pass]") == 12
+    assert out.count("[pass]") == 13
 
 
 def test_cli_seed_flags_value_not_object(tmp_path, capsys):
