@@ -313,7 +313,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except EngineError as exc:
-        sys.stderr.write(f"engine guard: {exc}\n")
+        where = f"{exc.step}: " if exc.step else ""
+        sys.stderr.write(f"engine guard: {where}{exc}\n")
         return EXIT_INTERNAL
     except RealWonderError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -671,13 +671,16 @@ def wonderful_run(arr: Arrangement) -> RunResult:
     traces = []
     cur = arr
     while cur.events:
-        cur, trace = blow_up_step(cur)
+        label = "+".join(cur.events[0])
+        try:
+            cur, trace = blow_up_step(cur)
+            ledger = deficiency_update(ledger, trace.codim, trace.event_defi, label=label)
+            if ledger.value != trace.deficiency_after:
+                raise InternalCheckError("ledger diverged from Betti payloads")
+        except EngineError as exc:
+            exc.step = f"step {len(traces) + 1} ({label})"
+            raise
         traces.append(trace)
-        ledger = deficiency_update(
-            ledger, trace.codim, trace.event_defi, label="+".join(trace.event)
-        )
-        if ledger.value != trace.deficiency_after:
-            raise InternalCheckError("ledger diverged from Betti payloads")
     problems = cur.validate_strata()
     if problems:
         raise InternalCheckError("; ".join(problems))

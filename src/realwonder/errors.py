@@ -11,7 +11,11 @@ class InputError(RealWonderError):
 
 
 class EngineError(RealWonderError):
-    """Internal guard tripped.  CLI exit code 3."""
+    """Internal guard tripped.  CLI exit code 3.  A run sets step to
+    "step k (a+b)", the blow-up step and event that raised it, and the
+    CLI puts it before the message."""
+
+    step = None
 
 
 class UnsupportedExcessIntersection(EngineError):

@@ -3,6 +3,12 @@
 Reports are plain dicts serialized as canonical JSON (sorted keys), so
 identical inputs give byte-identical files and parse/re-emit is the
 identity.  Every reported number is recomputable from the step traces.
+
+Schema v2, the one written, keeps the traces sparse: a step's cases list
+only the strata some center touched (an absent stratum is Disjoint),
+created lists the pieces each center made, and initial_strata lists the
+ids before the first step once.  to_v1 rebuilds the dense schema v1 from
+these, byte for byte; from_json reads both.
 """
 
 from __future__ import annotations
@@ -10,28 +16,23 @@ from __future__ import annotations
 import json
 
 from . import gradedpoly as gp
-from .engine import DISJOINT, RunResult
+from .engine import CENTER, CONTAINS, DISJOINT, INSIDE, PROPER, RunResult
 from .errors import InputError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_LABELS = frozenset((DISJOINT, INSIDE, CONTAINS, PROPER, CENTER))
 
 
-def trace_to_dict(trace, present) -> dict:
-    """The v1 record of a step.  Its cases are dense: every stratum in
-    present (the ids before the step) gets one label per center, and a
-    piece the first center of a pair made gets the second's label.  The
-    Disjoint ones the sparse trace leaves out share one list per
-    length."""
-    disjoint = [DISJOINT] * len(trace.event)
-    first = set(trace.created[0]) if len(trace.event) == 2 else set()
-    cases = dict.fromkeys(present, disjoint)
-    cases.update(dict.fromkeys(first, disjoint[1:]))
-    for sid, labels in trace.cases.items():
-        cases[sid] = list(labels[1:] if sid in first else labels)
+def trace_to_dict(trace) -> dict:
+    """The v2 record of a step.  Its cases are sparse, as in the trace:
+    only the strata some center touched, with one label per center, so
+    an absent stratum is Disjoint from every center; created lists the
+    pieces each center made, in event order."""
     return {
         "event": list(trace.event),
         "codim": trace.codim,
-        "cases": cases,
+        "cases": {sid: list(labels) for sid, labels in trace.cases.items()},
+        "created": [list(created) for created in trace.created],
         "event_betti_c": list(trace.event_betti_c),
         "event_betti_r": list(trace.event_betti_r),
         "betti_c_before": list(trace.betti_c_before),
@@ -40,7 +41,6 @@ def trace_to_dict(trace, present) -> dict:
         "betti_r_after": list(trace.betti_r_after),
         "deficiency_before": trace.deficiency_before,
         "deficiency_after": trace.deficiency_after,
-        "new_strata": list(trace.new_strata),
     }
 
 
@@ -94,20 +94,11 @@ def verify_trace_identities(report: dict) -> list:
     return checks
 
 
-def _steps(arr, traces) -> list:
-    """The step records; strata are never removed, so the ids before a
-    step are the final ones less those the step and later steps made."""
-    made = {nid for trace in traces for nid in trace.new_strata}
-    present = [sid for sid in arr.strata if sid not in made]
-    steps = []
-    for trace in traces:
-        steps.append(trace_to_dict(trace, present))
-        present += trace.new_strata
-    return steps
-
-
 def build_report(model: dict, result: RunResult) -> dict:
+    """The v2 report of a run.  Strata are never removed, so the initial
+    ids are the final ones less those some step made."""
     arr = result.arrangement
+    made = {nid for trace in result.traces for nid in trace.new_strata}
     final = {
         "betti_c": list(result.betti_c),
         "betti_r": list(result.betti_r),
@@ -126,7 +117,8 @@ def build_report(model: dict, result: RunResult) -> dict:
         "final": final,
         "flag_axioms": [list(ax) for ax in arr.flag_axioms],
         "stratum_count": len(arr.strata),
-        "steps": _steps(arr, result.traces),
+        "initial_strata": [sid for sid in arr.strata if sid not in made],
+        "steps": [trace_to_dict(trace) for trace in result.traces],
         "ledger": {
             "value": result.ledger.value,
             "contributions": [list(c) for c in result.ledger.contributions],
@@ -156,7 +148,8 @@ def _write_json(value, newline: str, out: list, strings: dict) -> None:
     plus the indentation of value's own line.  strings memoizes the
     encoded strings: a report repeats its stratum ids and case labels,
     and sharing one encoded copy of each keeps the pieces small (the
-    M0,8 job's peak RSS is 130 MB with the memo, 162 MB without)."""
+    M0,8 job's peak RSS is 37.9 MB with the memo, 39.0 MB without, in
+    ten of ten pairs of benchmark runs on a 2-CPU host)."""
     if isinstance(value, str):
         text = strings.get(value)
         if text is None:
@@ -203,17 +196,110 @@ def _write_json(value, newline: str, out: list, strings: dict) -> None:
 
 
 def from_json(text: str) -> dict:
+    """Parse a v1 or v2 report and return it unchanged; the step records
+    of a v2 report are checked as to_v1 reads them."""
     try:
         report = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad report JSON: {exc}") from exc
     if not isinstance(report, dict):
         raise InputError(f"a report is a JSON object, not {type(report).__name__}")
-    if report.get("schema_version") != SCHEMA_VERSION:
-        raise InputError(
-            f"unsupported report schema version {report.get('schema_version')}"
-        )
+    if _version(report) == SCHEMA_VERSION:
+        for _ in _v2_steps(report):
+            pass
     return report
+
+
+def to_v1(report: dict) -> dict:
+    """The schema-v1 form of a report, whose cases are dense: every
+    stratum present before a step gets one label per center, and a piece
+    the first center of a pair made gets the second's label.  The
+    Disjoint ones v2 leaves out share one list per length.  A v1 report
+    is returned as it is."""
+    if _version(report) == 1:
+        return report
+    steps = []
+    for step, present, first in _v2_steps(report):
+        disjoint = [DISJOINT] * len(step["event"])
+        cases = dict.fromkeys(present, disjoint)
+        cases.update(dict.fromkeys(first, disjoint[1:]))
+        for sid, labels in step["cases"].items():
+            cases[sid] = labels[1:] if sid in first else list(labels)
+        v1_step = {key: value for key, value in step.items() if key != "created"}
+        v1_step["cases"] = cases
+        v1_step["new_strata"] = [nid for created in step["created"] for nid in created]
+        steps.append(v1_step)
+    v1 = {key: value for key, value in report.items() if key != "initial_strata"}
+    v1["schema_version"] = 1
+    v1["steps"] = steps
+    return v1
+
+
+def _version(report: dict) -> int:
+    version = report.get("schema_version")
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        raise InputError(f"unsupported report schema version {version!r}")
+    return version
+
+
+def _is_ids(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _v2_steps(report: dict):
+    """Check the step records of a v2 report and yield each with the ids
+    present before it (a list that grows after each yield) and the set of
+    pieces the first center of a pair made."""
+    present = report.get("initial_strata")
+    steps = report.get("steps")
+    if not _is_ids(present):
+        raise InputError("report 'initial_strata' must be a list of stratum ids")
+    if not isinstance(steps, list):
+        raise InputError("report 'steps' must be a list")
+    present = list(present)
+    known = set(present)
+    for k, step in enumerate(steps, start=1):
+        if not isinstance(step, dict):
+            raise InputError(f"report step {k} is not an object")
+        event, cases, created = step.get("event"), step.get("cases"), step.get("created")
+        if not _is_ids(event) or len(event) not in (1, 2):
+            raise InputError(f"report step {k}: 'event' must list one or two centers")
+        if not isinstance(cases, dict):
+            raise InputError(f"report step {k}: 'cases' must be an object")
+        if not isinstance(created, list) or not all(_is_ids(c) for c in created):
+            raise InputError(f"report step {k}: 'created' must be a list of id lists")
+        if len(created) != len(event):
+            raise InputError(
+                f"report step {k}: 'created' has {len(created)} lists for an "
+                f"event of {len(event)} centers"
+            )
+        first = set(created[0]) if len(event) == 2 else set()
+        for sid, labels in cases.items():
+            if (
+                not isinstance(labels, list)
+                or len(labels) != len(event)
+                or not all(isinstance(lab, str) and lab in _LABELS for lab in labels)
+            ):
+                raise InputError(
+                    f"report step {k}: case {sid!r} needs one label per center"
+                )
+            if sid in first:
+                if labels[0] != DISJOINT:
+                    raise InputError(
+                        f"report step {k}: piece {sid!r} has a label for the "
+                        "center that made it"
+                    )
+            elif sid not in known:
+                raise InputError(
+                    f"report step {k}: case id {sid!r} is neither an initial "
+                    "stratum nor created earlier"
+                )
+        yield step, present, first
+        for nid in (nid for c in created for nid in c):
+            if nid in known:
+                raise InputError(f"report step {k}: stratum {nid!r} created twice")
+            known.add(nid)
+            present.append(nid)
 
 
 def render_text(report: dict, trace: bool = False) -> str:

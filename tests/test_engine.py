@@ -20,7 +20,7 @@ from realwonder.errors import (
 )
 from realwonder.exact import gq
 from realwonder.models import SpaceData, build_dcp, build_fm, build_moduli, parse_sigma
-from realwonder.report import build_report
+from realwonder.report import build_report, to_v1
 from realwonder.subspaces import rnc_points, span_points
 
 
@@ -308,14 +308,14 @@ def _fixed_dcp():
     ids=["moduli-n6-(1 2)", "fm-n4-P1", "dcp-fixed"],
 )
 def test_sparse_cases_match_classification(build, has_pairs):
-    """The report's dense cases equal classify_case on every stratum
+    """The v1 report's dense cases equal classify_case on every stratum
     present before each event (for a pair, against the second center
     on the arrangement after the first), and the trace records no
     stratum that every center of its event missed."""
     from realwonder import engine
 
     res = wonderful_run(build())
-    steps = build_report({}, res)["steps"]
+    steps = to_v1(build_report({}, res))["steps"]
     assert len(steps) == len(res.traces)
     arr = build()
     pairs = 0
@@ -332,6 +332,61 @@ def test_sparse_cases_match_classification(build, has_pairs):
         assert all(len(labels) == len(event) for labels in trace.cases.values())
         arr, _ = blow_up_step(arr)
     assert bool(pairs) == has_pairs
+
+
+def _touching_dcp(ambient_dim, reals, zs):
+    """span(reals + zs) and its conjugate, which meet transversally in
+    the real span(reals); the engine resolves the pair."""
+    pts = rnc_points(ambient_dim, [gq(r) for r in reals] + [gq(*z) for z in zs])
+    a = span_points(pts)
+    return build_dcp(ambient_dim, [("A", a), ("Abar", a.conjugate())])
+
+
+def _record_footprint(before, after, trace):
+    """The strata a step's records name: the centers, the strata they
+    touched, the pieces they made and a pair's meet, with the partners
+    of all of these before and after the step."""
+    event = trace.event
+    named = set(event).union(trace.cases, trace.new_strata)
+    wid = before.raw_meet(*event) if len(event) == 2 else None
+    if wid is not None:
+        named.add(wid)
+    linked = set(named)
+    for sid in named:
+        for s in (before.strata.get(sid), after.strata[sid]):
+            if s is not None and s.partner is not None:
+                linked.add(s.partner)
+    return linked
+
+
+@pytest.mark.parametrize(
+    "build, touching",
+    [
+        (lambda: build_moduli(parse_sigma("(1 2)", 6)), False),
+        (lambda: build_fm(4, SpaceData.projective_space(1)), False),
+        (_fixed_dcp, False),
+        (lambda: _touching_dcp(4, [0], [(1, 1), (2, 1)]), True),
+        (lambda: _touching_dcp(5, [0, 1], [(1, 1), (3, 2)]), True),
+    ],
+    ids=["moduli-n6-(1 2)", "fm-n4-P1", "dcp-fixed", "touch-p4", "touch-p5"],
+)
+def test_step_records_equal_changed_strata(build, touching):
+    """A step's records name exactly the strata it replaced or made, with
+    their partners: the set the step check finds by comparing every
+    stratum with the one before the step.  A schema-v2 report, which
+    keeps only these records, therefore loses nothing."""
+    from realwonder import engine
+
+    arr = build()
+    pairs_met = 0
+    while arr.events:
+        event = arr.events[0]
+        if len(event) == 2 and arr.raw_meet(*event) is not None:
+            pairs_met += 1
+        after, trace = blow_up_step(arr)
+        assert set(engine._changed_strata(arr, after)) == _record_footprint(arr, after, trace)
+        arr = after
+    assert bool(pairs_met) == touching
 
 
 def test_empty_run():

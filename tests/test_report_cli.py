@@ -23,12 +23,12 @@ def test_report_roundtrip_identity():
     assert to_json(from_json(text)) == text
 
 
-def test_trace_to_dict_expands_sparse_cases():
+def test_to_v1_expands_sparse_cases():
     """Absent strata are Disjoint for every center, through one shared
     list; a piece the first center of a pair made has one label."""
     from realwonder import gradedpoly as gp
     from realwonder.engine import CENTER, CONTAINS, DISJOINT, INSIDE, StepTrace
-    from realwonder.report import trace_to_dict
+    from realwonder.report import to_v1, trace_to_dict
 
     zero = gp.ZERO
     trace = StepTrace(
@@ -50,8 +50,18 @@ def test_trace_to_dict_expands_sparse_cases():
         deficiency_before=0,
         deficiency_after=0,
     )
-    step = trace_to_dict(trace, ["a", "abar", "b", "c", "cbar"])
-    assert step["cases"] == {
+    step = trace_to_dict(trace)
+    assert step["cases"] == {sid: list(labels) for sid, labels in trace.cases.items()}
+    assert step["created"] == [["a^c", "b^c"], ["abar^cbar"]]
+    report = {
+        "schema_version": 2,
+        "initial_strata": ["a", "abar", "b", "c", "cbar"],
+        "steps": [step],
+    }
+    v1 = to_v1(report)
+    assert v1 == {"schema_version": 1, "steps": v1["steps"]}
+    (v1_step,) = v1["steps"]
+    assert v1_step["cases"] == {
         "a": [CONTAINS, DISJOINT],
         "abar": [DISJOINT, DISJOINT],
         "b": [DISJOINT, DISJOINT],
@@ -60,8 +70,93 @@ def test_trace_to_dict_expands_sparse_cases():
         "a^c": [INSIDE],
         "b^c": [DISJOINT],
     }
-    assert step["cases"]["abar"] is step["cases"]["b"]
-    assert step["new_strata"] == ["a^c", "b^c", "abar^cbar"]
+    assert v1_step["cases"]["abar"] is v1_step["cases"]["b"]
+    assert v1_step["new_strata"] == ["a^c", "b^c", "abar^cbar"]
+    assert "created" not in v1_step
+    assert to_v1(v1) is v1
+
+
+@pytest.mark.parametrize("sigma, n", [("(1 2)", 5), ("(1 2)(3 4)", 6), ("id", 6)])
+def test_from_json_reads_both_versions(sigma, n):
+    """The written report is v2; it and its v1 form parse back unchanged,
+    and the trace identities hold on both."""
+    from realwonder.report import to_v1, verify_trace_identities
+
+    report = run_report(sigma, n)
+    assert report["schema_version"] == 2
+    v1 = to_v1(report)
+    for version in (report, v1):
+        text = to_json(version)
+        assert from_json(text) == version
+        assert to_json(from_json(text)) == text
+        assert verify_trace_identities(version) == report["checks"]
+        assert all(ok for _, ok in verify_trace_identities(version))
+    assert len(to_json(report)) < len(to_json(v1))
+
+
+def _pair_report():
+    """The v2 report of M0,6 with sigma (1 2), and the index of its first
+    step: the pair event s1+s2, whose first center makes four pieces."""
+    report = run_report("(1 2)", 6)
+    assert report["steps"][0]["event"] == ["s1", "s2"]
+    assert report["steps"][0]["created"][0] == ["s1.2^s1", "s1.3^s1", "s1.4^s1", "s1.5^s1"]
+    return report, 0
+
+
+def _corrupt(mutate):
+    report, k = _pair_report()
+    mutate(report, report["steps"][k])
+    return report
+
+
+MALFORMED_V2 = {
+    "version-3": lambda r, s: r.update(schema_version=3),
+    "version-str": lambda r, s: r.update(schema_version="2"),
+    "version-float": lambda r, s: r.update(schema_version=2.0),
+    "no-version": lambda r, s: r.pop("schema_version"),
+    "cases-list": lambda r, s: s.update(cases=[]),
+    "created-arity": lambda r, s: s.update(created=s["created"][:1]),
+    "created-not-lists": lambda r, s: s.update(created=["x", "y"]),
+    "unknown-case-id": lambda r, s: s["cases"].update({"nowhere": ["Disjoint", "Center"]}),
+    "later-case-id": lambda r, s: s["cases"].update({"s1.3^s3": ["Disjoint", "Center"]}),
+    "second-center-piece": lambda r, s: s["cases"].update({"s1.2^s2": ["Disjoint", "Center"]}),
+    "first-piece-labelled": lambda r, s: s["cases"].update({"s1.2^s1": ["Center", "Disjoint"]}),
+    "created-twice": lambda r, s: s["created"][1].append("s1.2^s1"),
+    "label-arity": lambda r, s: s["cases"].update({s["event"][0]: ["Center"]}),
+    "label-unknown": lambda r, s: s["cases"].update({s["event"][0]: ["Center", 7]}),
+    "event-arity": lambda r, s: s.update(event=[]),
+    "initial-missing": lambda r, s: r.pop("initial_strata"),
+    "steps-not-list": lambda r, s: r.update(steps={}),
+    "step-not-object": lambda r, s: r["steps"].append(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_V2))
+def test_from_json_rejects_malformed_v2(name):
+    from realwonder.errors import InputError
+
+    text = json.dumps(_corrupt(MALFORMED_V2[name]))
+    with pytest.raises(InputError):
+        from_json(text)
+
+
+@pytest.mark.parametrize("name", ["cases-list", "created-arity", "unknown-case-id"])
+def test_to_v1_rejects_malformed_v2(name):
+    from realwonder.errors import InputError
+    from realwonder.report import to_v1
+
+    with pytest.raises(InputError):
+        to_v1(_corrupt(MALFORMED_V2[name]))
+
+
+def test_to_v1_names_the_unknown_case_id():
+    from realwonder.errors import InputError
+    from realwonder.report import to_v1
+
+    report, k = _pair_report()
+    report["steps"][k]["cases"]["nowhere"] = ["Disjoint", "Center"]
+    with pytest.raises(InputError, match=f"step {k + 1}: case id 'nowhere' is neither"):
+        to_v1(report)
 
 
 def _reference_json(report):
@@ -366,3 +461,86 @@ def test_cli_hilb2_report_missing_keys(tmp_path, capsys, report):
     path.write_text(json.dumps(report))
     assert cli.main(["hilb2", "--report", str(path)]) == 2
     assert "input error:" in capsys.readouterr().err
+
+
+def test_cli_hilb2_report_reads_v1_and_v2(tmp_path, capsys):
+    from realwonder.report import to_v1
+
+    v2 = tmp_path / "v2.json"
+    assert cli.main(["moduli", "--n", "5", "--machine", str(v2)]) == 0
+    report = from_json(v2.read_text())
+    assert report["schema_version"] == 2
+    v1 = tmp_path / "v1.json"
+    v1.write_text(to_json(to_v1(report)))
+    capsys.readouterr()
+    outputs = []
+    for path in (v2, v1):
+        assert cli.main(["hilb2", "--report", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "deficiency of the Hilbert square" in outputs[0]
+
+
+@pytest.mark.parametrize(
+    "name", ["version-3", "cases-list", "created-arity", "unknown-case-id"]
+)
+def test_cli_hilb2_report_malformed_v2(tmp_path, capsys, name):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_corrupt(MALFORMED_V2[name])))
+    assert cli.main(["hilb2", "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_cli_engine_guard_names_the_step(monkeypatch, capsys):
+    """A payload broken inside step 4 exits 3 with a message that names
+    the step and its event before the check's own text."""
+    from dataclasses import replace
+
+    from realwonder import engine
+    from realwonder import gradedpoly as gp
+
+    events = build_moduli(parse_sigma("id", 6)).events
+    calls = []
+    elementary = engine._elementary
+
+    def corrupting(a, cid):
+        out, cls, created = elementary(a, cid)
+        calls.append(cid)
+        if len(calls) == 4:
+            strata = dict(out.strata)
+            s = strata[cid]
+            strata[cid] = replace(s, betti_c=gp.add(s.betti_c, gp.BettiVector([2])))
+            out = replace(out, strata=strata)
+        return out, cls, created
+
+    monkeypatch.setattr(engine, "_elementary", corrupting)
+    assert cli.main(["moduli", "--n", "6"]) == 3
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == (
+        f"engine guard: step 4 ({'+'.join(events[3])}): "
+        f"{events[3][0]}: complex Betti not palindromic"
+    )
+
+
+def test_cli_touching_pair_guard_names_the_step(tmp_path, capsys):
+    """A conjugate pair A, Abar meeting in a real point of P^4, with a
+    real hyperplane through that point: the guard's exit-3 message names
+    the step of the pair event and keeps its own text."""
+    real, plus, minus = ["0"], ["1+i", "2+i"], ["1-i", "2-i"]
+    data = {
+        "ambient_dim": 4,
+        "generators": [
+            {"name": "A", "rnc_span": real + plus},
+            {"name": "Abar", "rnc_span": real + minus},
+            {"name": "B0", "rnc_span": ["2", "3", "4", "5"]},
+        ],
+    }
+    path = tmp_path / "touch.json"
+    path.write_text(json.dumps(data))
+    arr = cli.build_dcp(*cli._parse_generators(data))
+    k = arr.events.index(("A", "Abar")) + 1
+    assert cli.main(["dcp", str(path)]) == 3
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith(f"engine guard: step {k} (A+Abar): invariant stratum ")
+    assert "meets the intersecting conjugate pair ('A', 'Abar')" in first

@@ -3,7 +3,8 @@
 Refactors and speedups must leave every reported number, and so every
 report byte, unchanged; these digests catch any drift in under a second.
 Update a digest only together with a deliberate change of the numbers
-or of the report schema.
+or of the report schema.  DIGESTS pin the schema-v1 form, rebuilt from
+the written v2 report by to_v1; DIGESTS_V2 pin the v2 report itself.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ from realwonder.models import (
     build_ulyanov,
     parse_sigma,
 )
-from realwonder.report import build_report, to_json
+from realwonder.report import build_report, to_json, to_v1
 from realwonder.subspaces import rnc_points, span_points
 
 P1 = SpaceData.projective_space(1)
@@ -65,8 +66,29 @@ DIGESTS = {
 }
 
 
+DIGESTS_V2 = {
+    "braid-n4-linear": "821ab27a6d807bc394cae15bee38405a08124c5368478576be4a2cd5a5ac5eab",
+    "braid-n4-partition": "aa42b8d4f74e0a7558949b4de1f935e41b6bf667119ac1da438cb084ca5735fa",
+    "dcp-fixed": "a8c4c5937bcf914b15b5b3fc508781daf8a3c20d0814d481afda058814c3275c",
+    "fm-n4-P1": "80e7d08a1c971c60202d3a66740fe6d15828df03bde292ba856a82d19ddfdf32",
+    "kt-n3-P1-chain": "f32dab6e9ffccbfd2612c58d21da8c4df56a88b8c67a9a374356600e9b510554",
+    "moduli-n6-(1 2)": "3d6f0b6a7ef3c01047e7e21536a2e1165f99f69ddd55533742a0a2cf56267404",
+    "moduli-n6-id": "f9b05486f1ce9e236bffeda0927ad67817301151b85ec2b1d5ae44425b38ec9e",
+    "ulyanov-n3-P1": "206195ff7f2dce4ed1d2e3e089c9d0bc8f0c9414883ffb6631794cf3491ecdaf",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_digest(name):
     report = build_report({"case": name}, wonderful_run(CASES[name]()))
-    digest = hashlib.sha256(to_json(report).encode("utf-8")).hexdigest()
-    assert digest == DIGESTS[name]
+    assert _digest(to_json(to_v1(report))) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest_v2(name):
+    report = build_report({"case": name}, wonderful_run(CASES[name]()))
+    assert _digest(to_json(report)) == DIGESTS_V2[name]
