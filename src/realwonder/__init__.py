@@ -12,7 +12,7 @@ Hilbert-square deficiency formulas.
 from .gradedpoly import BettiVector
 from .flags import FlagSet, Tri
 from .subspaces import ProjSubspace
-from .partitions import SetPartition
+from .partitions import FramePartition, SetPartition
 from .arrangement import Arrangement, Stratum
 from .engine import RunResult, StepTrace, blow_up_step, wonderful_run
 from .hilbert import SmithData, deficiency_effective_gm, deficiency_general
@@ -25,6 +25,7 @@ __all__ = [
     "Arrangement",
     "BettiVector",
     "FlagSet",
+    "FramePartition",
     "ModuliSpec",
     "ProjSubspace",
     "RunResult",

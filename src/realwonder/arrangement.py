@@ -15,7 +15,7 @@ from . import partitions as pt
 from . import subspaces as sub
 from .errors import InputError, UnsupportedExcessIntersection
 from .flags import FlagSet, Tri, UNKNOWN
-from .partitions import SetPartition
+from .partitions import FramePartition, SetPartition
 from .subspaces import ProjSubspace, intersect as sub_intersect
 
 AMBIENT_ID = "ambient"
@@ -152,6 +152,8 @@ class Arrangement:
 
 
 def geom_key(g):
+    if isinstance(g, FramePartition):
+        return g.blocks
     if isinstance(g, ProjSubspace):
         return g.key()
     if isinstance(g, SetPartition):
@@ -161,6 +163,8 @@ def geom_key(g):
 
 def geom_meet(g1, g2):
     """Intersection of concrete geometries; None when empty."""
+    if isinstance(g1, FramePartition) and isinstance(g2, FramePartition):
+        return g1.join(g2)
     if isinstance(g1, ProjSubspace) and isinstance(g2, ProjSubspace):
         m = sub_intersect(g1, g2)
         return None if m.is_empty else m
@@ -176,7 +180,8 @@ def excess_dim(ga, gb, gc) -> int:
     For A∩B ⊆ C with neither inside C, the dominant transforms of A and
     B are disjoint after blowing up C exactly when this is 0.  Tangent
     spaces of polydiagonals are spanned by block indicators, so the
-    partition backend counts integer ranks."""
+    partition backends count integer ranks (for a FramePartition the
+    shared diagonal adds 1 to each of the four ranks and cancels)."""
     if isinstance(ga, ProjSubspace):
         return (
             sub.linear_rank(ga, gc)
@@ -194,7 +199,7 @@ def excess_dim(ga, gb, gc) -> int:
 
 
 def geom_conj(g):
-    if isinstance(g, ProjSubspace):
+    if isinstance(g, (ProjSubspace, FramePartition)):
         return g.conjugate()
     if isinstance(g, SetPartition):
         return g
@@ -229,37 +234,33 @@ def close_under_intersection(
         geoms[sid] = g
         by_key[geom_key(g)] = sid
 
-    flat = {}
+    # round by round, each pair (known[i], known[j]) with i < j and j in
+    # the previous round's discoveries, in (i, j) order
+    meets = []  # (a, b, meet id) with a < b, for the nonempty meets
     counter = 0
-    frontier = list(ids)
     known = list(ids)
-    while frontier:
-        new = []
-        pairs = [
-            (a, b)
-            for i, a in enumerate(known)
-            for b in known[i + 1:]
-            if ((a, b) if a < b else (b, a)) not in flat
-        ]
-        for a, b in pairs:
-            key = (a, b) if a < b else (b, a)
-            m = geom_meet(geoms[a], geoms[b])
-            if m is None:
-                flat[key] = None
-                continue
-            mk = geom_key(m)
-            sid = by_key.get(mk)
-            if sid is None:
-                counter += 1
-                sid = namer(counter, m)
-                if sid in geoms:
-                    raise InputError(f"intersection name clash at {sid}")
-                geoms[sid] = m
-                by_key[mk] = sid
-                new.append(sid)
-            flat[key] = sid
-        known += new
-        frontier = new
+    start = 0
+    while start < len(known):
+        end = len(known)
+        for i in range(end):
+            a = known[i]
+            ga = geoms[a]
+            for b in known[max(i + 1, start):end]:
+                m = geom_meet(ga, geoms[b])
+                if m is None:
+                    continue
+                mk = geom_key(m)
+                sid = by_key.get(mk)
+                if sid is None:
+                    counter += 1
+                    sid = namer(counter, m)
+                    if sid in geoms:
+                        raise InputError(f"intersection name clash at {sid}")
+                    geoms[sid] = m
+                    by_key[mk] = sid
+                    known.append(sid)
+                meets.append((a, b, sid) if a < b else (b, a, sid))
+        start = end
 
     # conj structure: the closure of a conj-closed set is conj-closed
     partner = {}
@@ -278,10 +279,9 @@ def close_under_intersection(
         strata[sid] = stratum_factory(sid, geoms[sid], partner[sid])
 
     table = {sid: {} for sid in known}
-    for (a, b), v in flat.items():
-        if v is not None:
-            table[a][b] = v
-            table[b][a] = v
+    for a, b, v in meets:
+        table[a][b] = v
+        table[b][a] = v
     return Arrangement(ambient=ambient, strata=strata, table=table)
 
 
@@ -293,11 +293,14 @@ def building_violations(arr: Arrangement, members, building):
     """Check the G-building-set condition over the given member ids: the
     minimal building elements containing each member must intersect
     transversally (codimension additivity) with intersection the member
-    itself.  Returns (member_id, reason) pairs."""
+    itself.  Returns (member_id, reason) pairs.  Containment is read
+    from the member's table row, which a closure fills with no
+    UNRESOLVED entry."""
     problems = []
     building = list(dict.fromkeys(building))
     for a in members:
-        containers = [b for b in building if arr.leq(a, b)]
+        row = arr.table.get(a, {})
+        containers = [b for b in building if b == a or row.get(b) == a]
         minimal = [
             b
             for b in containers

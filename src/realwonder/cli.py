@@ -236,9 +236,9 @@ def cmd_hilb2(args) -> int:
 
 def cmd_verify(args) -> int:
     failures = 0
-    for name, ok, detail in run_suite(args.suite):
+    for name, ok, detail, seconds in run_suite(args.suite):
         status = "pass" if ok else "FAIL"
-        sys.stdout.write(f"[{status}] {name}: {detail}\n")
+        sys.stdout.write(f"[{status}] {name}: {detail} ({seconds:.2f} s)\n")
         if not ok:
             failures += 1
     sys.stdout.write(

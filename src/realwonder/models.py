@@ -30,7 +30,7 @@ from .flags import (
     pair_event_flags,
     product_flags,
 )
-from .partitions import SetPartition, diagonals
+from .partitions import FramePartition, SetPartition, diagonals
 from .subspaces import (
     ProjSubspace,
     linear_rank,
@@ -154,7 +154,8 @@ def _finalize_building(
     return order_building_set(arr, validate_prefixes=validate_prefixes)
 
 
-def _linear_factory(sid, geom: ProjSubspace, partner):
+def _linear_factory(sid, geom, partner):
+    """Payload of a linear subspace (a ProjSubspace or a FramePartition)."""
     k = geom.proj_dim
     invariant = partner is None
     return Stratum(
@@ -230,6 +231,13 @@ def build_dcp(
             raise InputError(f"{name}: duplicate generator")
         seen.add(g)
 
+    return _dcp_model(ambient_dim, generators, validate_prefixes=validate_prefixes)
+
+
+def _dcp_model(ambient_dim: int, generators, *, validate_prefixes: bool) -> Arrangement:
+    """The wonderful model of valid generators: linear subspaces, or the
+    frame polydiagonals of the partition moduli path, which carry the
+    same payloads (`proj_dim`, real or paired)."""
     arr = close_under_intersection(
         _projective_ambient(ambient_dim), generators, _linear_factory
     )
@@ -306,15 +314,21 @@ def parse_sigma(text: str, n: int) -> ModuliSpec:
     return ModuliSpec(n=n, sigma=tuple(images))
 
 
-def _relabel_fixing_last(spec: ModuliSpec) -> ModuliSpec:
+def _relabel_fixing_last(spec: ModuliSpec, fixed: int | None = None) -> ModuliSpec:
     """Kapranov's model distinguishes one sigma-fixed marked point;
-    relabel so it is the n-th."""
+    relabel so it is the n-th.  fixed chooses the point (default: n when
+    sigma fixes it, else the smallest fixed point); a relabelling is an
+    isomorphism of real varieties, so every choice gives the same
+    answer."""
     n = spec.n
-    if spec.sigma[n - 1] == n:
+    if fixed is None:
+        fixed = n if spec.sigma[n - 1] == n else spec.fixed[0]
+    elif fixed not in spec.fixed:
+        raise InputError(f"marked point {fixed} is not fixed by sigma")
+    if fixed == n:
         return spec
-    m = spec.fixed[0]
     tau = list(range(1, n + 1))
-    tau[m - 1], tau[n - 1] = n, m
+    tau[fixed - 1], tau[n - 1] = n, fixed
 
     def t(x):
         return tau[x - 1]
@@ -348,12 +362,32 @@ def moduli_parameters(spec: ModuliSpec, real_params=None):
 def build_moduli(
     spec: ModuliSpec,
     *,
+    backend: str = "partition",
     real_params=None,
     validate_prefixes: bool = False,
 ) -> Arrangement:
     """Kapranov's iterated blow-up model: P^{n-3} and the spans of
-    subsets of the n-1 generic points, blown up in dimension order."""
-    spec, params = moduli_parameters(spec, real_params)
+    subsets of n-1 points in general position, blown up in dimension
+    order.
+
+    backend "partition" puts the points at the frame e_1..e_{n-1} of
+    C^{n-1}/C·(1,…,1), where spans are polydiagonals and meets are
+    partition joins (FramePartition); "linear" puts them on a rational
+    normal curve (real_params for the real ones) and intersects spans
+    by exact linear algebra.  Both give the same strata ids, in the
+    same order, with the same payloads; the linear path is kept as the
+    oracle of the partition path."""
+    if backend not in ("partition", "linear"):
+        raise InputError(f"unknown moduli backend {backend!r}")
+    if backend == "linear":
+        spec, params = moduli_parameters(spec, real_params)
+    elif real_params is not None:
+        raise InputError(
+            "real_params need backend 'linear': the partition backend has no "
+            "curve parameters"
+        )
+    else:
+        spec = _relabel_fixing_last(spec)
     n = spec.n
     big_n = n - 3
 
@@ -366,21 +400,31 @@ def build_moduli(
             flag_axioms=(_PROJECTIVE_AXIOM,),
         )
 
-    points = rnc_points(big_n, params)
-    # verified genericity: every small subset of the points is independent
-    labels = list(range(1, n))
-    for size in range(2, min(big_n + 1, n - 1) + 1):
-        for subset in combinations(range(n - 1), size):
-            if linear_rank(*[points[i] for i in subset]) != size:
-                raise InputError("rational normal curve points are not generic")
+    if backend == "linear":
+        points = rnc_points(big_n, params)
+        # verified genericity: every small subset of the points is independent
+        for size in range(2, min(big_n + 1, n - 1) + 1):
+            for subset in combinations(range(n - 1), size):
+                if linear_rank(*[points[i] for i in subset]) != size:
+                    raise InputError("rational normal curve points are not generic")
 
-    generators = []
-    for size in range(1, n - 3):
-        for subset in combinations(range(n - 1), size):
-            name = "s" + ".".join(str(labels[i]) for i in subset)
-            generators.append((name, span_points([points[i] for i in subset])))
+        def span(subset):
+            return span_points([points[i - 1] for i in subset])
 
-    return build_dcp(big_n, generators, validate_prefixes=validate_prefixes)
+    else:
+        sigma = FramePartition.point_sigma(spec.sigma[: n - 1])
+
+        def span(subset):
+            return FramePartition.span(n - 1, subset, sigma)
+
+    generators = [
+        ("s" + ".".join(str(i) for i in subset), span(subset))
+        for size in range(1, n - 3)
+        for subset in combinations(range(1, n), size)
+    ]
+    if backend == "linear":
+        return build_dcp(big_n, generators, validate_prefixes=validate_prefixes)
+    return _dcp_model(big_n, generators, validate_prefixes=validate_prefixes)
 
 
 # ----------------------------------------------------------------------

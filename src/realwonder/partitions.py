@@ -125,6 +125,133 @@ class SetPartition:
         return f"SetPartition({self.n}, {self.label()!r})"
 
 
+class FramePartition:
+    """A polydiagonal of the frame model of P^{m-2}, with the real
+    structure of a point permutation sigma.
+
+    Put m points at the images of e_1..e_m in V = C^m / C·(1,…,1).  Any
+    m-1 of the e_i together with (1,…,1) form a basis of C^m, so any m-1
+    of the points are independent: the m points are in general position
+    in P(V) = P^{m-2}.  Points are numbered 1..m; point i is bit i-1 of
+    a block mask.
+
+    - **Spans are polydiagonals.**  span{e_i : i in S} + C·(1,…,1) is the
+      set of vectors constant on [m]∖S, so span(S) is the polydiagonal of
+      the partition with block [m]∖S and singletons S.  Every
+      polydiagonal D_P = {x constant on each block of P} contains the
+      diagonal, so meets in V are meets in C^m: D_P ∩ D_Q = D_{P∨Q}, the
+      join.
+    - **One block is empty.**  D_P has dimension #blocks in C^m, hence
+      #blocks - 1 in V and projective dimension #blocks - 2.  The
+      one-block partition is the diagonal, 0 in V: projectively empty,
+      so `join` returns None for it.
+    - **Conjugation permutes points.**  The real structure is
+      f ↦ conj(f∘sigma); it fixes real vectors and sends e_i to
+      e_sigma(i), so conj(D_P) = D_sigma(P).  Points given as a
+      conjugation-closed set (real points, and conjugate pairs swapped
+      by sigma) in general position form a projective frame, and the
+      projective map onto this frame carries their real structure to
+      this one: the two antiholomorphic involutions differ by a
+      projective map fixing the frame, which is the identity.
+    - **The excess formula.**  The cone over span(A) in V has rank
+      rank(block indicators of A) - 1, and so does every sum of such
+      cones, since each contains the diagonal.  The four -1 cancel in
+      rank(A+C) + rank(B+C) - rank(A+B+C) - rank(C), so the clean-sum
+      test reads block-indicator ranks as for configuration models.
+
+    The m points spanning P^{m-2} in general position are Kapranov's
+    n-1 = m points of M̅0,n, so the closure of their spans is the
+    braid arrangement A_{m-1} modulo its centre.
+    """
+
+    __slots__ = ("blocks", "sigma")
+
+    def __init__(self, blocks, sigma):
+        """blocks: disjoint bit masks of two or more points each (the
+        other points are singletons); sigma: the bit mask of the image of
+        each point, one entry per point."""
+        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
+        object.__setattr__(self, "sigma", sigma)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FramePartition is immutable")
+
+    @classmethod
+    def span(cls, m: int, subset, sigma) -> "FramePartition":
+        """span(S) for the points of subset (1-based, fewer than m - 1):
+        the other points form one block."""
+        rest = (1 << m) - 1
+        for i in subset:
+            rest &= ~(1 << (i - 1))
+        return cls([rest], sigma)
+
+    @staticmethod
+    def point_sigma(images) -> tuple:
+        """The sigma argument for a permutation given as 1-based images
+        of the points 1..m."""
+        return tuple(1 << (j - 1) for j in images)
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.sigma) - sum(b.bit_count() - 1 for b in self.blocks)
+
+    @property
+    def proj_dim(self) -> int:
+        return self.num_blocks - 2
+
+    def join(self, other: "FramePartition"):
+        """D_self ∩ D_other; None for the projectively empty diagonal."""
+        blocks = self.blocks
+        for b in other.blocks:
+            merged = b
+            rest = []
+            for c in blocks:
+                if c & b:
+                    merged |= c
+                else:
+                    rest.append(c)
+            rest.append(merged)
+            blocks = rest
+        if len(blocks) == 1 and blocks[0] == (1 << len(self.sigma)) - 1:
+            return None
+        return FramePartition(blocks, self.sigma)
+
+    def conjugate(self) -> "FramePartition":
+        """sigma(P): each point of each block moved to its image."""
+        sigma = self.sigma
+        blocks = []
+        for b in self.blocks:
+            image = 0
+            while b:
+                low = b & -b
+                image |= sigma[low.bit_length() - 1]
+                b ^= low
+            blocks.append(image)
+        return FramePartition(blocks, sigma)
+
+    def indicator_rows(self):
+        """One 0/1 row per block, singletons included, spanning D_P in
+        C^m."""
+        m = len(self.sigma)
+        covered = 0
+        for b in self.blocks:
+            covered |= b
+        blocks = list(self.blocks)
+        blocks += [1 << i for i in range(m) if not (covered >> i) & 1]
+        return [tuple((b >> i) & 1 for i in range(m)) for b in blocks]
+
+    def __eq__(self, other):
+        if not isinstance(other, FramePartition):
+            return NotImplemented
+        return self.blocks == other.blocks and self.sigma == other.sigma
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"FramePartition({[bin(b) for b in self.blocks]})"
+
+
 def all_partitions(n: int):
     """All set partitions of {1..n} (restricted-growth enumeration)."""
 

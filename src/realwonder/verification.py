@@ -8,10 +8,12 @@ tolerances).
 from __future__ import annotations
 
 import random
+import time
 from math import comb
 
 from . import gradedpoly as gp
 from .engine import wonderful_run
+from .errors import RealWonderError
 from .hilbert import (
     SmithData,
     consistency,
@@ -29,6 +31,7 @@ from .models import (
     build_moduli,
     build_ulyanov,
     parse_sigma,
+    _relabel_fixing_last,
 )
 from .report import build_report
 from .subspaces import rnc_points, span_points
@@ -78,6 +81,31 @@ def _sigma_samples(n: int, rng: random.Random, per_type: int = 2):
         extra = rng.sample(group[1:], min(per_type - 1, len(group) - 1))
         picked.extend(extra)
     return picked
+
+
+def _sigma_types(n: int):
+    """One involution with a fixed point per number k of 2-cycles:
+    (1 2)…(2k-3 2k-2)(2k-1 n), so every k >= 1 moves the last point and
+    build_moduli relabels it."""
+    out = []
+    for k in range((n - 1) // 2 + 1):
+        sigma = list(range(1, n + 1))
+        pairs = [(2 * i - 1, 2 * i) for i in range(1, k)]
+        if k:
+            pairs.append((2 * k - 1, n))
+        for i, j in pairs:
+            sigma[i - 1], sigma[j - 1] = j, i
+        out.append(ModuliSpec(n=n, sigma=tuple(sigma)))
+    return out
+
+
+def _stop_or_value(compute, *args):
+    """compute(*args) or, when it stops, ("stop", exception type, step,
+    message)."""
+    try:
+        return compute(*args)
+    except RealWonderError as exc:
+        return ("stop", type(exc).__name__, getattr(exc, "step", None), str(exc))
 
 
 def random_dcp_arrangement(rng: random.Random, ambient_dim: int):
@@ -203,10 +231,18 @@ def check_sigma_independence(nmax: int = 7, per_type: int = 2):
                 return False, f"n={n} sigma={spec.sigma} differs"
     # independence of the real parameter choice as well
     res_a = wonderful_run(
-        build_moduli(ModuliSpec(n=5, sigma=(1, 2, 3, 4, 5)), real_params=[0, 1, 2, 3])
+        build_moduli(
+            ModuliSpec(n=5, sigma=(1, 2, 3, 4, 5)),
+            backend="linear",
+            real_params=[0, 1, 2, 3],
+        )
     )
     res_b = wonderful_run(
-        build_moduli(ModuliSpec(n=5, sigma=(1, 2, 3, 4, 5)), real_params=[-5, 1, 7, 11])
+        build_moduli(
+            ModuliSpec(n=5, sigma=(1, 2, 3, 4, 5)),
+            backend="linear",
+            real_params=[-5, 1, 7, 11],
+        )
     )
     if res_a.betti_c != res_b.betti_c or res_a.betti_r != res_b.betti_r:
         return False, "parameter choice changed the answer"
@@ -292,6 +328,76 @@ def check_braid_oracle(nmax: int = 6):
             if tp != tl:
                 return False, f"n={n}: trace at {tp.event} differs"
     return True, f"same strata, identical traces and Betti vectors for n <= {nmax}"
+
+
+def _backend_outcome(spec: ModuliSpec, backend: str):
+    arr = build_moduli(spec, backend=backend)
+    res = wonderful_run(arr)
+    return (
+        set(arr.strata),
+        set(res.arrangement.strata),
+        list(res.traces),
+        res.betti_c,
+        res.betti_r,
+        res.verdict,
+    )
+
+
+_BACKEND_FIELDS = (
+    "initial strata", "final strata", "traces", "complex Betti", "real Betti", "verdict"
+)
+
+
+def check_moduli_backends(nmax: int = 7):
+    """The linear moduli path is the oracle of the partition path: for
+    every sigma type, the same stratum ids before and after the run,
+    identical step traces, Betti vectors and verdict; or the same stop
+    (exception type, step and message) on both."""
+    stops = 0
+    for n in range(4, nmax + 1):
+        for spec in _sigma_types(n):
+            part = _stop_or_value(_backend_outcome, spec, "partition")
+            lin = _stop_or_value(_backend_outcome, spec, "linear")
+            if part[0] == "stop" or lin[0] == "stop":
+                if part != lin:
+                    return False, f"n={n} sigma={spec.sigma}: {part[:3]} vs {lin[:3]}"
+                stops += 1
+                continue
+            for name, p, q in zip(_BACKEND_FIELDS, part, lin):
+                if p != q:
+                    return False, f"n={n} sigma={spec.sigma}: {name} differ"
+    return True, (
+        f"partition and linear backends agree for every sigma type, n <= {nmax}"
+        f" ({stops} equal stops)"
+    )
+
+
+def _vectors_and_verdict(spec: ModuliSpec):
+    res = wonderful_run(build_moduli(spec))
+    return list(res.betti_c), list(res.betti_r), res.verdict
+
+
+def check_moduli_fixed_point(nmax: int = 6, relabel=_relabel_fixing_last):
+    """Metamorphic oracle: relabelling so that another sigma-fixed point
+    is the distinguished one gives the same variety, so every choice
+    must give the same complex and real vectors and verdict, or a stop
+    of the same exception type (its message names relabelled strata)."""
+    choices = 0
+    for n in range(4, nmax + 1):
+        for spec in _sigma_types(n):
+            outcomes = {}
+            for m in spec.fixed:
+                found = _stop_or_value(_vectors_and_verdict, relabel(spec, m))
+                outcomes[m] = found[:2] if found[0] == "stop" else found
+            choices += len(outcomes)
+            first = outcomes[spec.fixed[0]]
+            for m, found in outcomes.items():
+                if found != first:
+                    return False, (
+                        f"n={n} sigma={spec.sigma}: fixed point {m} gives {found}, "
+                        f"{spec.fixed[0]} gives {first}"
+                    )
+    return True, f"{choices} choices of the distinguished point agree for n <= {nmax}"
 
 
 def keel_poincare(n: int) -> list:
@@ -426,6 +532,8 @@ CHECKS = [
     ("dcp-conjugation-spaces", check_dcp_conjugation, {"count": 8}, {"count": 25}),
     ("config-models", check_config_models, {}, {}),
     ("braid-oracle", check_braid_oracle, {"nmax": 5}, {"nmax": 6}),
+    ("moduli-backends", check_moduli_backends, {"nmax": 7}, {"nmax": 8}),
+    ("moduli-fixed-point", check_moduli_fixed_point, {"nmax": 6}, {"nmax": 7}),
     ("hilbert-squares", check_hilbert_squares, {"samples": 200}, {"samples": 1000}),
     ("global-properties", check_global_properties,
      {"count": 20, "nmax": 5}, {"count": 100, "nmax": 6}),
@@ -433,9 +541,10 @@ CHECKS = [
 
 
 def run_suite(name: str):
-    """Run a named suite; yields (check_name, ok, detail)."""
+    """Run a named suite; yields (check_name, ok, detail, seconds)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     for check_name, fn, core, full in CHECKS:
+        start = time.perf_counter()
         ok, detail = fn(**(core if name == "core" else full))
-        yield check_name, ok, detail
+        yield check_name, ok, detail, time.perf_counter() - start

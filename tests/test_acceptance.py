@@ -78,6 +78,30 @@ def test_criterion_13_moduli_keel():
     _announce(13, "M̅0,n sigma=id against Keel's recursion (n<=7)", ok, detail)
 
 
+def test_criterion_14_moduli_backends():
+    ok, detail = vf.check_moduli_backends(nmax=7)
+    _announce(14, "M̅0,n partition backend against the linear oracle (n<=7)", ok, detail)
+
+
+def test_criterion_15_moduli_fixed_point():
+    ok, detail = vf.check_moduli_fixed_point(nmax=6)
+    _announce(15, "every distinguished fixed point gives M̅0,n (n<=6)", ok, detail)
+
+
+def test_moduli_fixed_point_catches_a_wrong_relabelling():
+    """A relabelling that forgets sigma's 2-cycles for every choice but
+    the first changes the real vector, and the check must say so."""
+
+    def forgetful(spec, fixed):
+        if fixed == spec.fixed[0]:
+            return vf._relabel_fixing_last(spec, fixed)
+        return vf.ModuliSpec(n=spec.n, sigma=tuple(range(1, spec.n + 1)))
+
+    ok, detail = vf.check_moduli_fixed_point(nmax=5, relabel=forgetful)
+    assert not ok
+    assert "n=5" in detail and "fixed point" in detail
+
+
 def test_keel_recursion_values():
     """The recursion itself, against the published totals beyond the
     engine's routine reach: n=9 and n=10."""

@@ -49,6 +49,18 @@ def test_moduli_parameters_pairing():
     assert spec2.sigma[4] == 5
 
 
+def test_relabel_fixing_last_chooses_the_fixed_point():
+    from realwonder.models import _relabel_fixing_last
+
+    spec = parse_sigma("(1 5)", 5)
+    assert _relabel_fixing_last(spec) == _relabel_fixing_last(spec, 2)
+    assert _relabel_fixing_last(spec, 3).sigma == (3, 2, 1, 4, 5)
+    fixing = parse_sigma("(1 2)", 5)
+    assert _relabel_fixing_last(fixing, 3) == fixing  # swaps two fixed points
+    with pytest.raises(InputError, match="not fixed"):
+        _relabel_fixing_last(spec, 1)
+
+
 def test_moduli_n5_structure():
     arr = build_moduli(parse_sigma("(1 2)", 5))
     assert arr.strata["s1"].partner == "s2"
@@ -64,14 +76,51 @@ def test_moduli_n6_event_counts():
 
 
 def test_moduli_param_independence():
-    a = wonderful_run(build_moduli(parse_sigma("id", 5), real_params=[0, 1, 2, 3]))
-    b = wonderful_run(build_moduli(parse_sigma("id", 5), real_params=[7, -2, 5, 9]))
+    spec = parse_sigma("id", 5)
+    a = wonderful_run(build_moduli(spec, backend="linear", real_params=[0, 1, 2, 3]))
+    b = wonderful_run(build_moduli(spec, backend="linear", real_params=[7, -2, 5, 9]))
     assert a.betti_c == b.betti_c and a.betti_r == b.betti_r
 
 
 def test_moduli_rejects_degenerate_params():
     with pytest.raises(InputError):
-        build_moduli(parse_sigma("id", 5), real_params=[0, 1, 2, 2])
+        build_moduli(parse_sigma("id", 5), backend="linear", real_params=[0, 1, 2, 2])
+
+
+def test_moduli_backend_boundary():
+    spec = parse_sigma("(1 2)", 5)
+    with pytest.raises(InputError, match="unknown moduli backend"):
+        build_moduli(spec, backend="numeric")
+    with pytest.raises(InputError, match="real_params"):
+        build_moduli(spec, real_params=[0, 1])
+    with pytest.raises(InputError, match="real_params"):
+        build_moduli(spec, backend="partition", real_params=[0, 1])
+
+
+def test_moduli_default_path_has_no_linear_algebra(monkeypatch):
+    import realwonder.models as models
+    import realwonder.subspaces as subspaces
+
+    calls = {"rref": 0, "rnc_points": 0, "linear_rank": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(subspaces, name))
+        monkeypatch.setattr(subspaces, name, wrapped)
+        if hasattr(models, name):
+            monkeypatch.setattr(models, name, wrapped)
+    res = wonderful_run(build_moduli(parse_sigma("id", 7)))
+    assert list(res.betti_r) == [1, 42, 127, 42, 1]  # Keel's recursion
+    assert calls == {"rref": 0, "rnc_points": 0, "linear_rank": 0}
+    # the counters see the linear path
+    wonderful_run(build_moduli(parse_sigma("id", 6), backend="linear"))
+    assert all(count > 0 for count in calls.values())
 
 
 def test_moduli_tiny_n():

@@ -5,8 +5,11 @@ import pytest
 
 from realwonder.arrangement import excess_dim
 from realwonder.engine import _separation_outcome
+from realwonder.exact import GaussianRational
 from realwonder.models import _braid_subspace
+from realwonder.subspaces import ProjSubspace, intersect
 from realwonder.partitions import (
+    FramePartition,
     SetPartition,
     all_partitions,
     diagonals,
@@ -138,3 +141,76 @@ def test_all_partitions_count():
     # Bell numbers
     assert sum(1 for _ in all_partitions(4)) == 15
     assert sum(1 for _ in all_partitions(5)) == 52
+
+
+# ---- frame partitions (the moduli backend) ----------------------------
+
+
+def _frame(part: SetPartition, sigma) -> FramePartition:
+    masks = [sum(1 << (x - 1) for x in b) for b in part.blocks if len(b) > 1]
+    return FramePartition(masks, sigma)
+
+
+def _frame_subspace(part: SetPartition) -> ProjSubspace:
+    """D_P in V = C^m / C·(1,…,1), in the coordinates x_i - x_m."""
+    m = part.n
+    rows = [
+        tuple(GaussianRational((i + 1 in b) - (m in b)) for i in range(m - 1))
+        for b in part.blocks
+    ]
+    return ProjSubspace.from_basis_rows(m - 2, rows)
+
+
+def test_frame_join_matches_set_partition_join():
+    # the bitmask join against the union-find join, including the
+    # one-block partition that the frame join reports as empty
+    rng = random.Random(8)
+    m = 6
+    sigma = FramePartition.point_sigma(range(1, m + 1))
+    parts = [p for p in all_partitions(m) if p.num_blocks > 1]
+    for _ in range(300):
+        a, b = rng.choice(parts), rng.choice(parts)
+        joined = _frame(a, sigma).join(_frame(b, sigma))
+        expected = a.join(b)
+        if expected.num_blocks == 1:
+            assert joined is None
+        else:
+            assert joined == _frame(expected, sigma)
+            assert joined.num_blocks == expected.num_blocks
+
+
+def test_frame_partitions_against_linear_algebra():
+    # dimension, meet and clean-sum excess of the frame polydiagonals
+    # against exact linear algebra in the quotient by the diagonal
+    rng = random.Random(9)
+    m = 5
+    sigma = FramePartition.point_sigma(range(1, m + 1))
+    parts = [p for p in all_partitions(m) if p.num_blocks > 1]
+    for p in parts:
+        assert _frame(p, sigma).proj_dim == _frame_subspace(p).proj_dim
+    for _ in range(150):
+        a, b, c = (rng.choice(parts) for _ in range(3))
+        fa, fb, fc = (_frame(p, sigma) for p in (a, b, c))
+        la, lb, lc = (_frame_subspace(p) for p in (a, b, c))
+        joined = fa.join(fb)
+        meet = intersect(la, lb)
+        if joined is None:
+            assert meet.is_empty
+        else:
+            assert meet == _frame_subspace(a.join(b))
+        assert excess_dim(fa, fb, fc) == excess_dim(la, lb, lc)
+
+
+def test_frame_span_and_conjugate():
+    m = 5
+    sigma = FramePartition.point_sigma([2, 1, 4, 3, 5])  # (1 2)(3 4)
+    line = FramePartition.span(m, [1, 3], sigma)  # block {2, 4, 5}
+    assert line.blocks == (0b11010,)
+    assert line.proj_dim == 1
+    assert line.conjugate() == FramePartition.span(m, [2, 4], sigma)
+    point = FramePartition.span(m, [5], sigma)
+    assert point.proj_dim == 0 and point.conjugate() == point
+    assert line.conjugate().conjugate() == line
+    assert line.indicator_rows() == [(0, 1, 0, 1, 1), (1, 0, 0, 0, 0), (0, 0, 1, 0, 0)]
+    with pytest.raises(AttributeError):
+        line.blocks = ()

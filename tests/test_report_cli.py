@@ -403,7 +403,22 @@ def test_cli_verify_core_smoke(capsys):
     assert cli.main(["verify", "--suite", "core"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
-    assert out.count("[pass]") == 13
+    assert out.count("[pass]") == 15
+
+
+def test_cli_verify_prints_check_times(capsys, monkeypatch):
+    import re
+
+    from realwonder import verification
+
+    monkeypatch.setattr(
+        verification,
+        "CHECKS",
+        [("moduli-n4", verification.check_moduli_n4, {}, {})],
+    )
+    assert cli.main(["verify", "--suite", "core"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"\[pass\] moduli-n4: .+ \(\d+\.\d\d s\)", line)
 
 
 def test_cli_seed_flags_value_not_object(tmp_path, capsys):
