@@ -55,26 +55,75 @@ class Stratum:
         return gp.total(self.betti_c) - gp.total(self.betti_r)
 
     def validate(self) -> list[str]:
-        """Smith inequality, mod-2 parity, Poincare duality.
+        """Smith inequality, mod-2 parity, Poincare duality (see
+        payload_problems)."""
+        found = payload_problems(self.dim_c, self.betti_c, self.betti_r, self.real_status)
+        return [f"{self.sid}: {p}" for p in found]
 
-        Smith and parity are G-space statements, so they apply to
-        invariant strata; a conj-swapped pair satisfies them as a pair
-        automatically (2*total vs 0)."""
-        problems = []
-        tc, tr = gp.total(self.betti_c), gp.total(self.betti_r)
-        if self.partner is None:
-            if tr > tc:
-                problems.append(f"{self.sid}: Smith inequality violated ({tr} > {tc})")
-            if (tc - tr) % 2:
-                problems.append(f"{self.sid}: total Betti parity violated")
-        if not gp.is_palindromic(self.betti_c, 2 * self.dim_c):
-            problems.append(f"{self.sid}: complex Betti not palindromic")
-        if self.real_status == REAL:
-            if not gp.is_palindromic(self.betti_r, self.dim_c):
-                problems.append(f"{self.sid}: real Betti not palindromic")
-        elif not self.betti_r.is_zero:
-            problems.append(f"{self.sid}: nonzero real Betti without real points")
-        return problems
+
+def payload_problems(dim_c, betti_c, betti_r, real_status) -> tuple:
+    """The problems of a stratum payload, without the stratum id.
+
+    Smith and parity are G-space statements, so they apply to invariant
+    strata; a conj-swapped pair satisfies them as a pair automatically
+    (2*total vs 0)."""
+    problems = []
+    tc, tr = gp.total(betti_c), gp.total(betti_r)
+    if real_status != PAIRED:
+        if tr > tc:
+            problems.append(f"Smith inequality violated ({tr} > {tc})")
+        if (tc - tr) % 2:
+            problems.append("total Betti parity violated")
+    if not gp.is_palindromic(betti_c, 2 * dim_c):
+        problems.append("complex Betti not palindromic")
+    if real_status == REAL:
+        if not gp.is_palindromic(betti_r, dim_c):
+            problems.append("real Betti not palindromic")
+    elif not betti_r.is_zero:
+        problems.append("nonzero real Betti without real points")
+    return tuple(problems)
+
+
+class PayloadMemo:
+    """The pure payload functions of a blow-up run, memoized by value.
+
+    A run applies few distinct payload transitions to many strata: the
+    3,465 final strata of M̅0,8 carry 9 distinct payloads, and the run's
+    60,342 gradedpoly calls have 493 distinct argument tuples.
+
+    - call(fn, *args) returns fn(*args) for a pure gradedpoly function
+      (add, kunneth, blowup_terms, bundle_factor), computing each
+      distinct call once, so equal results are one shared object.
+    - validate(s) is Stratum.validate keyed by the payload value
+      (dim_c, betti_c, betti_r, real status; the status says invariant
+      or paired), with the stratum id put into each message at lookup.
+      It drops no check: a corrupt payload is a new key, checked in
+      full.
+
+    wonderful_run makes one for the run and carries it on its
+    arrangements (Arrangement.memo); an arrangement outside a run has
+    none, and a step on it starts from a fresh memo, so nothing carries
+    from one run or bare step to the next."""
+
+    __slots__ = ("values", "problems")
+
+    def __init__(self):
+        self.values = {}
+        self.problems = {}
+
+    def call(self, fn, *args):
+        key = (fn, args)
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = fn(*args)
+        return value
+
+    def validate(self, s: Stratum) -> list[str]:
+        key = (s.dim_c, s.betti_c, s.betti_r, s.real_status)
+        found = self.problems.get(key)
+        if found is None:
+            found = self.problems[key] = payload_problems(*key)
+        return [f"{s.sid}: {p}" for p in found]
 
 
 def table_pairs(table):
@@ -95,6 +144,7 @@ class Arrangement:
     events: tuple = ()
     stretched: Tri = UNKNOWN
     flag_axioms: tuple = ()
+    memo: PayloadMemo | None = field(default=None, compare=False, repr=False)
 
     def codim(self, sid: str) -> int:
         return self.ambient.dim_c - self.strata[sid].dim_c
@@ -134,10 +184,11 @@ class Arrangement:
         """The per-stratum checks of validate_strata for the given ids.
         The partner-payload check reads both strata of a pair, so a
         stratum must be rechecked when its partner changes."""
+        validate = Stratum.validate if self.memo is None else self.memo.validate
         problems = []
         for sid in sids:
             s = self.strata[sid]
-            problems += s.validate()
+            problems += validate(s)
             if s.partner is not None:
                 p = self.strata.get(s.partner)
                 if p is None or p.partner != s.sid:
@@ -157,7 +208,7 @@ def geom_key(g):
     if isinstance(g, ProjSubspace):
         return g.key()
     if isinstance(g, SetPartition):
-        return (g.n, g.blocks)
+        return (g.n, g.masks)
     raise InputError(f"unsupported geometry {type(g).__name__}")
 
 
@@ -173,15 +224,26 @@ def geom_meet(g1, g2):
     raise InputError("mixed or abstract geometry in intersection closure")
 
 
-def excess_dim(ga, gb, gc) -> int:
+def excess_dim(ga, gb, gc, ac=None, bc=None) -> int:
     """Clean-sum separation rule: the excess cone dimension
     rank(A+C) + rank(B+C) - rank(A+B+C) - rank(C) of (A+C)∩(B+C) over C.
 
     For A∩B ⊆ C with neither inside C, the dominant transforms of A and
-    B are disjoint after blowing up C exactly when this is 0.  Tangent
-    spaces of polydiagonals are spanned by block indicators, so the
-    partition backends count integer ranks (for a FramePartition the
-    shared diagonal adds 1 to each of the four ranks and cancels)."""
+    B are disjoint after blowing up C exactly when this is 0.
+
+    On the partition backends, ranks are of block-indicator spans:
+    polydiagonal P has rank b(P), its number of blocks.  Two
+    polydiagonals meet in the polydiagonal of their join, so
+    rank(A+C) = b(A) + b(C) - b(A∨C), and likewise for B; the excess
+    is therefore
+        b(A) + b(B) + b(C) - b(A∨C) - b(B∨C) - rank(A+B+C),
+    with one integer elimination, for rank(A+B+C), which no join
+    gives (the partition lattice is not modular).  ac and bc are the
+    joins A∨C and B∨C when the caller has them.  A FramePartition join
+    is None for the one-block partition, which counts as 1 block; its
+    shared diagonal adds 1 to each of the four ranks and cancels.
+    The ProjSubspace branch counts ranks by linear algebra and is the
+    oracle for the partition one."""
     if isinstance(ga, ProjSubspace):
         return (
             sub.linear_rank(ga, gc)
@@ -189,12 +251,17 @@ def excess_dim(ga, gb, gc) -> int:
             - sub.linear_rank(ga, gb, gc)
             - len(gc.int_basis()[0])
         )
-    ru, rv, rc = ga.indicator_rows(), gb.indicator_rows(), gc.indicator_rows()
+    if ac is None:
+        ac = ga.join(gc)
+    if bc is None:
+        bc = gb.join(gc)
+    joined = (1 if ac is None else ac.num_blocks) + (1 if bc is None else bc.num_blocks)
     return (
-        pt.int_rank(ru + rc)
-        + pt.int_rank(rv + rc)
-        - pt.int_rank(ru + rv + rc)
-        - len(rc)
+        ga.num_blocks
+        + gb.num_blocks
+        + gc.num_blocks
+        - joined
+        - pt.int_rank(ga.indicator_rows() + gb.indicator_rows() + gc.indicator_rows())
     )
 
 

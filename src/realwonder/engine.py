@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 from . import gradedpoly as gp
 from .arrangement import (
     Arrangement,
+    PayloadMemo,
     REAL,
     Stratum,
     UNRESOLVED,
@@ -152,13 +153,18 @@ def _shadow(arr: Arrangement, sid: str):
     return None
 
 
-def _separation(arr: Arrangement, a: str, b: str, cid: str, memo: dict):
+_SHADOW_INSIDE = "shadow inside the center shadow; outside the supported analysis"
+
+
+def _separation(arr: Arrangement, a: str, b: str, cid: str, memo: dict, shadows: dict):
     """Raise unless the transforms of a and b are separated by the blow-up
-    along cid.  memo maps a pair of shadows to its outcome and serves one
-    center only: the key leaves out the center's shadow."""
-    ga = _shadow(arr, a)
-    gb = _shadow(arr, b)
-    gc = _shadow(arr, cid)
+    along cid.  memo maps a pair of shadows to its outcome, and shadows a
+    stratum id to its shadow; both serve one center only (the outcome key
+    leaves out the center's shadow)."""
+    for sid in (a, b, cid):
+        if sid not in shadows:
+            shadows[sid] = _shadow(arr, sid)
+    ga, gb, gc = shadows[a], shadows[b], shadows[cid]
     if ga is None or gb is None or gc is None:
         raise UnsupportedExcessIntersection(
             f"transforms {a} and {b} meet inside center {cid} and no "
@@ -175,16 +181,19 @@ def _separation(arr: Arrangement, a: str, b: str, cid: str, memo: dict):
 
 
 def _separation_outcome(ga, gb, gc) -> str:
-    def inside(g, h) -> bool:
-        m = geom_meet(g, h)
-        return m is not None and geom_key(m) == geom_key(g)
+    def inside(g, meet) -> bool:
+        return meet is not None and geom_key(meet) == geom_key(g)
 
-    if inside(ga, gc) or inside(gb, gc):
-        return "shadow inside the center shadow; outside the supported analysis"
+    ac = geom_meet(ga, gc)
+    if inside(ga, ac):
+        return _SHADOW_INSIDE
+    bc = geom_meet(gb, gc)
+    if inside(gb, bc):
+        return _SHADOW_INSIDE
     mm = geom_meet(ga, gb)
-    if mm is not None and not inside(mm, gc):
+    if mm is not None and not inside(mm, geom_meet(mm, gc)):
         return "shared directions outside the center; transforms still meet"
-    excess = excess_dim(ga, gb, gc)
+    excess = excess_dim(ga, gb, gc, ac, bc)
     if excess:
         return f"transforms still meet after the blow-up (excess cone dim {excess})"
     return "separated"
@@ -199,6 +208,7 @@ def _elementary(arr: Arrangement, cid: str):
     if d < 2:
         raise EngineError(f"blow-up center {cid} has codimension {d} < 2")
     center_real = center.real_status == REAL
+    call = (PayloadMemo() if arr.memo is None else arr.memo).call
 
     # strata disjoint from the center keep their payload AND their whole
     # table row verbatim (any pair involving a Disjoint stratum meets in
@@ -216,15 +226,15 @@ def _elementary(arr: Arrangement, cid: str):
 
     # ambient: always ContainsCenter
     amb = arr.ambient
-    amb_c = gp.add(amb.betti_c, gp.blowup_terms(center.betti_c, d, 2))
+    amb_c = call(gp.add, amb.betti_c, call(gp.blowup_terms, center.betti_c, d, 2))
     if center_real:
-        amb_r = gp.add(amb.betti_r, gp.blowup_terms(center.betti_r, d, 1))
+        amb_r = call(gp.add, amb.betti_r, call(gp.blowup_terms, center.betti_r, d, 1))
     else:
         amb_r = amb.betti_r
     new_ambient = replace(amb, betti_c=amb_c, betti_r=amb_r)
 
-    fiber_c = gp.bundle_factor(d, 2)
-    fiber_r = gp.bundle_factor(d, 1)
+    fiber_c = call(gp.bundle_factor, d, 2)
+    fiber_r = call(gp.bundle_factor, d, 1)
     new_strata = dict(strata)  # Disjoint strata keep their payload
     resolved_new = {}
     new_defs = []  # exceptional pieces of ContainsCenter / ProperMeet strata
@@ -234,16 +244,16 @@ def _elementary(arr: Arrangement, cid: str):
             new_strata[sid] = replace(
                 s,
                 dim_c=s.dim_c + d - 1,
-                betti_c=gp.kunneth(s.betti_c, fiber_c),
-                betti_r=gp.kunneth(s.betti_r, fiber_r),
+                betti_c=call(gp.kunneth, s.betti_c, fiber_c),
+                betti_r=call(gp.kunneth, s.betti_r, fiber_r),
             )
             continue
         mid = center_row[sid]  # the center itself when ContainsCenter
         m = strata[mid]
         d_s = s.dim_c - m.dim_c
-        bc = gp.add(s.betti_c, gp.blowup_terms(m.betti_c, d_s, 2))
+        bc = call(gp.add, s.betti_c, call(gp.blowup_terms, m.betti_c, d_s, 2))
         if s.real_status == REAL and m.real_status == REAL:
-            br = gp.add(s.betti_r, gp.blowup_terms(m.betti_r, d_s, 1))
+            br = call(gp.add, s.betti_r, call(gp.blowup_terms, m.betti_r, d_s, 1))
         else:
             br = s.betti_r
         new_strata[sid] = replace(s, betti_c=bc, betti_r=br)
@@ -258,10 +268,10 @@ def _elementary(arr: Arrangement, cid: str):
     for nid, sid, mid, d_s in sorted(new_defs):
         s, m = strata[sid], strata[mid]
         invariant = s.partner is None and center.partner is None
-        bc = gp.kunneth(m.betti_c, gp.bundle_factor(d_s, 2))
+        bc = call(gp.kunneth, m.betti_c, call(gp.bundle_factor, d_s, 2))
         real_nonempty = invariant and m.real_status == REAL
         if real_nonempty:
-            br = gp.kunneth(m.betti_r, gp.bundle_factor(d_s, 1))
+            br = call(gp.kunneth, m.betti_r, call(gp.bundle_factor, d_s, 1))
         else:
             br = gp.ZERO
         new_strata[nid] = Stratum(
@@ -278,6 +288,7 @@ def _elementary(arr: Arrangement, cid: str):
     # ---- intersection table -----------------------------------------
     raw_meet = arr.raw_meet
     separations = {}  # outcome by pair of shadows, for this center only
+    shadows = {}  # shadow by stratum id, for this center only
 
     by_center_meet = {cid: [cid]}
     for sid, m in center_row.items():
@@ -303,17 +314,13 @@ def _elementary(arr: Arrangement, cid: str):
 
     def tt_value(a, b, m):
         ca, cb = cls[a], cls[b]
-        pair = {ca, cb}
-        if pair <= {INSIDE}:
-            return m
-        if pair == {INSIDE, CENTER}:
-            return a if ca == INSIDE else b
-        if CENTER in pair:
-            other = a if cb == CENTER else b
-            return resolved_new[other]
-        if INSIDE in pair:
-            big = b if ca == INSIDE else a
-            return exceptional_restriction(m, big)
+        if ca == CENTER or cb == CENTER:
+            other, co = (b, cb) if ca == CENTER else (a, ca)
+            return other if co == INSIDE else resolved_new[other]
+        if ca == INSIDE:
+            return m if cb == INSIDE else exceptional_restriction(m, b)
+        if cb == INSIDE:
+            return exceptional_restriction(m, a)
         # both ContainsCenter / ProperMeet
         mc = raw_meet(m, cid)
         if mc is UNRESOLVED:
@@ -322,7 +329,7 @@ def _elementary(arr: Arrangement, cid: str):
             return m
         if m == cid:
             return None  # normal directions along C are disjoint (clean)
-        _separation(arr, a, b, cid, separations)
+        _separation(arr, a, b, cid, separations, shadows)
         return None
 
     touched = [cid] + sorted(center_row)
@@ -669,7 +676,7 @@ def wonderful_run(arr: Arrangement) -> RunResult:
         raise EngineError("building events are not in nondecreasing dimension order")
     ledger = DeficiencyLedger(arr.ambient.defi)
     traces = []
-    cur = arr
+    cur = replace(arr, memo=PayloadMemo())  # this run's payload memo
     while cur.events:
         label = "+".join(cur.events[0])
         try:
@@ -686,7 +693,7 @@ def wonderful_run(arr: Arrangement) -> RunResult:
         raise InternalCheckError("; ".join(problems))
     final_verdict = flag_verdict(cur.ambient.flags, cur.ambient.betti_c)
     return RunResult(
-        arrangement=cur,
+        arrangement=replace(cur, memo=None),
         traces=tuple(traces),
         ledger=ledger,
         verdict=final_verdict,

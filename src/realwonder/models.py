@@ -519,9 +519,15 @@ def build_kt(
                 f"numbers, got {blocks!r}"
             )
         try:
-            parts.append(SetPartition(n, blocks))
+            part = SetPartition(n, blocks)
         except ValueError as exc:
             raise InputError(f"building entry {i}: {exc}") from exc
+        if part.is_discrete:
+            raise InputError(
+                f"building entry {i}: {blocks!r} is the discrete partition, "
+                f"the whole of X^{n} rather than a diagonal"
+            )
+        parts.append(part)
     if not parts:
         raise InputError("empty building set")
     arr = _config_arrangement(n, space, parts)

@@ -12,29 +12,66 @@ from __future__ import annotations
 from itertools import combinations
 
 
+def _merge_masks(blocks, other) -> list:
+    """The blocks of two or more points of the join of two partitions,
+    each given by the bit masks of such blocks: every block of other
+    absorbs the blocks it meets.  Singletons never merge anything, so
+    they need no mask."""
+    for b in other:
+        merged = b
+        rest = []
+        for c in blocks:
+            if c & b:
+                merged |= c
+            else:
+                rest.append(c)
+        rest.append(merged)
+        blocks = rest
+    return blocks
+
+
 class SetPartition:
-    __slots__ = ("n", "blocks")
+    """A set partition of {1..n}, held as the sorted bit masks of its
+    blocks of two or more points (point x is bit x - 1).
+
+    The polydiagonal D_P of X^n is the set of points whose coordinates
+    agree on each block of P.  Its tangent space is spanned by the block
+    indicators (tensored with the tangent space of X), so it has rank
+    b(P), the number of blocks, per dimension of X.  D_P ∩ D_Q = D_{P∨Q}
+    for the join P∨Q: coordinates constant on the blocks of P and of Q
+    are constant on the connected components of the union of the two
+    relations, which are the blocks of the join.  Hence
+        rank(D_P + D_Q) = b(P) + b(Q) - b(P∨Q),
+    so a pair rank costs one join and no elimination (see
+    arrangement.excess_dim)."""
+
+    __slots__ = ("n", "masks", "_blocks")
 
     def __init__(self, n: int, blocks):
         seen = set()
-        canon = []
+        masks = []
         for block in blocks:
             block = tuple(sorted(block))
-            if not block:
-                continue
             for x in block:
                 if not 1 <= x <= n:
                     raise ValueError(f"element {x} outside 1..{n}")
                 if x in seen:
                     raise ValueError(f"element {x} in two blocks")
                 seen.add(x)
-            canon.append(block)
-        for x in range(1, n + 1):
-            if x not in seen:
-                canon.append((x,))
-        canon.sort()
+            if len(block) > 1:
+                masks.append(sum(1 << (x - 1) for x in block))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "masks", tuple(sorted(masks)))
+        object.__setattr__(self, "_blocks", None)
+
+    @classmethod
+    def _from_masks(cls, n: int, masks) -> "SetPartition":
+        """A partition from already valid block masks, unchecked."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "n", n)
+        object.__setattr__(part, "masks", tuple(sorted(masks)))
+        object.__setattr__(part, "_blocks", None)
+        return part
 
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
@@ -49,45 +86,41 @@ class SetPartition:
         return cls(n, [tuple(subset)])
 
     @property
+    def blocks(self) -> tuple:
+        """Every block, singletons included, as sorted int tuples in
+        order of their least element; computed once."""
+        if self._blocks is None:
+            points = range(1, self.n + 1)
+            covered = 0
+            out = []
+            for mask in self.masks:
+                covered |= mask
+                out.append(tuple(x for x in points if (mask >> (x - 1)) & 1))
+            out += [(x,) for x in points if not (covered >> (x - 1)) & 1]
+            out.sort()
+            object.__setattr__(self, "_blocks", tuple(out))
+        return self._blocks
+
+    @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return self.n - sum(m.bit_count() - 1 for m in self.masks)
 
     @property
     def is_discrete(self) -> bool:
-        return self.num_blocks == self.n
+        return not self.masks
 
     def join(self, other: "SetPartition") -> "SetPartition":
-        """Finest common coarsening (union-find merge); polydiagonal
-        intersection corresponds to the join."""
+        """Finest common coarsening; polydiagonal intersection
+        corresponds to the join."""
         if self.n != other.n:
             raise ValueError("mixed partition sizes")
-        parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for part in (self, other):
-            for block in part.blocks:
-                root = find(block[0])
-                for x in block[1:]:
-                    parent[find(x)] = root
-        groups = {}
-        for x in range(1, self.n + 1):
-            groups.setdefault(find(x), []).append(x)
-        return SetPartition(self.n, groups.values())
+        return SetPartition._from_masks(self.n, _merge_masks(self.masks, other.masks))
 
     def refines(self, other: "SetPartition") -> bool:
         """True when every block of self sits inside a block of other."""
         if self.n != other.n:
             raise ValueError("mixed partition sizes")
-        owner = {}
-        for i, block in enumerate(other.blocks):
-            for x in block:
-                owner[x] = i
-        return all(len({owner[x] for x in block}) == 1 for block in self.blocks)
+        return all(any(not a & ~b for b in other.masks) for a in self.masks)
 
     def indicator_rows(self, projective: bool = False):
         """Integer rows spanning the (cone over the) polydiagonal: one
@@ -116,10 +149,10 @@ class SetPartition:
     def __eq__(self, other):
         if not isinstance(other, SetPartition):
             return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
+        return self.n == other.n and self.masks == other.masks
 
     def __hash__(self):
-        return hash((self.n, self.blocks))
+        return hash((self.n, self.masks))
 
     def __repr__(self):
         return f"SetPartition({self.n}, {self.label()!r})"
@@ -201,17 +234,7 @@ class FramePartition:
 
     def join(self, other: "FramePartition"):
         """D_self ∩ D_other; None for the projectively empty diagonal."""
-        blocks = self.blocks
-        for b in other.blocks:
-            merged = b
-            rest = []
-            for c in blocks:
-                if c & b:
-                    merged |= c
-                else:
-                    rest.append(c)
-            rest.append(merged)
-            blocks = rest
+        blocks = _merge_masks(self.blocks, other.blocks)
         if len(blocks) == 1 and blocks[0] == (1 << len(self.sigma)) - 1:
             return None
         return FramePartition(blocks, self.sigma)

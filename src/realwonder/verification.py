@@ -431,6 +431,79 @@ def keel_poincare(n: int) -> list:
     return polys[n]
 
 
+def fm_nested_betti(n: int, dim_x: int, betti_x, step: int) -> list:
+    """Betti vector of the Fulton-MacPherson space X[n] by the nested-set
+    formula (Fulton-MacPherson 1994): the sum over nested sets T
+    (laminar families of subsets of [n] with two or more points) of
+        P(X)^(top blocks of T) * prod_{I in T} (q + q^2 + ... + q^(r_I - 1)),
+    with r_I = dim X * (blocks of I - 1); the blocks of a set are its
+    maximal proper members in T and its points in none of them.
+    q = t^step: step 2 with the complex Betti numbers of X gives the
+    complex vector, step 1 with the real ones the real vector.
+
+    The sum is taken by the exponential formula, not by listing nested
+    sets.  With y marking blocks, D_s sums over the set partitions of an
+    s-set into top blocks; a block of j >= 2 points is a member, weighted
+    by c(j), the sum over everything nested inside it.  Splitting off
+    the block of the first point,
+        D_s = sum_{j=1}^{s} C(s-1, j-1) * w_j * D_{s-j},  D_0 = 1,
+    with w_1 = y and w_j = y * c(j).  The j = s term is the s-set as one
+    member, y * c(s), and the other terms split it into k >= 2 blocks,
+    so c(s) = sum_k [y^k](D_s - y * c(s)) * (q + ... + q^(dim X (k-1) - 1)).
+    X[n] is D_n at y = P(X).  Plain integer lists, independent of the
+    blow-up engine."""
+
+    def mul(p, r):
+        out = [0] * (len(p) + len(r) - 1) if p and r else []
+        for i, a in enumerate(p):
+            for j, b in enumerate(r):
+                out[i + j] += a * b
+        return out
+
+    def add(p, r):
+        out = [0] * max(len(p), len(r))
+        for poly in (p, r):
+            for i, c in enumerate(poly):
+                out[i] += c
+        return out
+
+    def y_mul(u, v):  # polynomials in y with coefficients in q: {k: coeffs}
+        out = {}
+        for i, p in u.items():
+            for j, r in v.items():
+                out[i + j] = add(out.get(i + j, []), mul(p, r))
+        return out
+
+    px = [betti_x[d] for d in range(0, len(betti_x), step)]
+    d_polys = [{0: [1]}]
+    member = {}  # c(j)
+    for s in range(1, n + 1):
+        split = {}  # D_s - y * c(s): the s-set in two or more blocks
+        for j in range(1, s):
+            w = {1: [1] if j == 1 else member[j]}
+            for k, p in y_mul(w, d_polys[s - j]).items():
+                split[k] = add(split.get(k, []), [comb(s - 1, j - 1) * c for c in p])
+        if s == 1:
+            d_polys.append({1: [1]})
+            continue
+        member[s] = []
+        for k, p in split.items():
+            member[s] = add(member[s], mul(p, [0] + [1] * (dim_x * (k - 1) - 1)))
+        split[1] = add(split.get(1, []), member[s])
+        d_polys.append(split)
+    total = []
+    for k, p in d_polys[n].items():
+        power = [1]
+        for _ in range(k):
+            power = mul(power, px)
+        total = add(total, mul(p, power))
+    out = [0] * ((len(total) - 1) * step + 1)
+    out[::step] = total
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def check_moduli_keel(nmax: int = 8):
     """Keel's recursion against the engine for M̅0,n with sigma = id:
     the complex vector carries the recursion's coefficients in even
@@ -443,6 +516,26 @@ def check_moduli_keel(nmax: int = 8):
         if list(res.betti_c) != complex_expected or list(res.betti_r) != q:
             return False, f"n={n}: {list(res.betti_c)}/{list(res.betti_r)}, Keel {q}"
     return True, f"complex and real vectors match Keel's recursion for n <= {nmax}"
+
+
+def _fm_vectors(n: int, x: SpaceData):
+    res = wonderful_run(build_fm(n, x))
+    return list(res.betti_c), list(res.betti_r)
+
+
+def check_fm_nested_set(nmax: int = 6):
+    """The nested-set formula against the engine for FM(X, n) on P^1 and
+    P^2: the complex and the real Betti vectors."""
+    for x in (SpaceData.projective_space(1), SpaceData.projective_space(2)):
+        for n in range(2, nmax + 1):
+            found = _stop_or_value(_fm_vectors, n, x)
+            expected = (
+                fm_nested_betti(n, x.dim_c, list(x.betti_c), 2),
+                fm_nested_betti(n, x.dim_c, list(x.betti_r), 1),
+            )
+            if found != expected:
+                return False, f"fm({n}, {x.name}): {found}, nested sets {expected}"
+    return True, f"complex and real vectors match nested sets on P1, P2 for n <= {nmax}"
 
 
 def check_hilbert_squares(samples: int = 1000, seed: int = 11):
@@ -534,6 +627,7 @@ CHECKS = [
     ("braid-oracle", check_braid_oracle, {"nmax": 5}, {"nmax": 6}),
     ("moduli-backends", check_moduli_backends, {"nmax": 7}, {"nmax": 8}),
     ("moduli-fixed-point", check_moduli_fixed_point, {"nmax": 6}, {"nmax": 7}),
+    ("fm-nested-set", check_fm_nested_set, {"nmax": 5}, {"nmax": 6}),
     ("hilbert-squares", check_hilbert_squares, {"samples": 200}, {"samples": 1000}),
     ("global-properties", check_global_properties,
      {"count": 20, "nmax": 5}, {"count": 100, "nmax": 6}),

@@ -419,6 +419,69 @@ def test_separation_memo_is_per_run(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_payload_memo_is_per_run(monkeypatch):
+    """Each run computes its payload transitions and stratum checks
+    afresh: a second identical run in the same process does the same
+    payload work as the first, and the run's result carries no memo."""
+    from collections import Counter
+
+    from realwonder import arrangement
+
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("add", "kunneth", "blowup_terms", "bundle_factor"):
+        monkeypatch.setattr(gp, name, counted(name, getattr(gp, name)))
+    monkeypatch.setattr(
+        arrangement,
+        "payload_problems",
+        counted("payload_problems", arrangement.payload_problems),
+    )
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        res = wonderful_run(build_moduli(parse_sigma("(1 2)", 6)))
+        counts.append(Counter(calls))
+        assert res.arrangement.memo is None
+    assert set(counts[0]) == {
+        "add", "kunneth", "blowup_terms", "bundle_factor", "payload_problems"
+    }
+    assert counts[0] == counts[1]
+
+
+def test_payload_memo_computes_each_value_once():
+    from realwonder.arrangement import PayloadMemo, Stratum
+
+    memo = PayloadMemo()
+    calls = []
+
+    def kunneth(p, q):
+        calls.append((p, q))
+        return gp.kunneth(p, q)
+
+    fiber = gp.bundle_factor(3, 2)
+    first = memo.call(kunneth, gp.BettiVector([1, 0, 1]), fiber)
+    again = memo.call(kunneth, gp.BettiVector([1, 0, 1]), fiber)
+    assert first is again and len(calls) == 1
+    good = Stratum("a", 1, gp.BettiVector([1, 0, 1]), gp.BettiVector([1, 1]))
+    bad = replace(good, sid="b", betti_c=gp.BettiVector([1, 0, 3]), betti_r=gp.BettiVector([5]))
+    for s in (good, bad, replace(bad, sid="c"), replace(good, sid="d")):
+        assert memo.validate(s) == s.validate()
+    assert memo.validate(bad) == [
+        "b: Smith inequality violated (5 > 4)",
+        "b: total Betti parity violated",
+        "b: complex Betti not palindromic",
+        "b: real Betti not palindromic",
+    ]
+    assert len(memo.problems) == 2
+
+
 def _corrupt_at_step(monkeypatch, arr, k, pick, corrupt):
     """Run arr with stratum pick(out, cls, cid) replaced by
     corrupt(stratum) inside step k; return the error and the arrangement

@@ -36,6 +36,33 @@ def fraction_rank(rows):
     return rank
 
 
+def union_find_join(a: SetPartition, b: SetPartition) -> SetPartition:
+    """Reference join: union-find over the blocks of both partitions."""
+    parent = list(range(a.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for part in (a, b):
+        for block in part.blocks:
+            root = find(block[0])
+            for x in block[1:]:
+                parent[find(x)] = root
+    groups = {}
+    for x in range(1, a.n + 1):
+        groups.setdefault(find(x), []).append(x)
+    return SetPartition(a.n, groups.values())
+
+
+def three_rank_excess(ga, gb, gc) -> int:
+    """The clean-sum excess with all four ranks by elimination."""
+    ru, rv, rc = ga.indicator_rows(), gb.indicator_rows(), gc.indicator_rows()
+    return int_rank(ru + rc) + int_rank(rv + rc) - int_rank(ru + rv + rc) - len(rc)
+
+
 def test_canonicalization():
     p = SetPartition(4, [[2, 1], [4]])
     assert p.blocks == ((1, 2), (3,), (4,))
@@ -162,7 +189,7 @@ def _frame_subspace(part: SetPartition) -> ProjSubspace:
 
 
 def test_frame_join_matches_set_partition_join():
-    # the bitmask join against the union-find join, including the
+    # both bitmask joins against the union-find join, including the
     # one-block partition that the frame join reports as empty
     rng = random.Random(8)
     m = 6
@@ -171,7 +198,9 @@ def test_frame_join_matches_set_partition_join():
     for _ in range(300):
         a, b = rng.choice(parts), rng.choice(parts)
         joined = _frame(a, sigma).join(_frame(b, sigma))
-        expected = a.join(b)
+        expected = union_find_join(a, b)
+        assert a.join(b) == expected
+        assert a.join(b).blocks == expected.blocks
         if expected.num_blocks == 1:
             assert joined is None
         else:
@@ -214,3 +243,60 @@ def test_frame_span_and_conjugate():
     assert line.indicator_rows() == [(0, 1, 0, 1, 1), (1, 0, 0, 0, 0), (0, 0, 1, 0, 0)]
     with pytest.raises(AttributeError):
         line.blocks = ()
+
+
+def test_set_partition_join_and_refines_against_union_find():
+    parts = list(all_partitions(5))
+    for a in parts:
+        for b in parts:
+            joined = a.join(b)
+            assert joined == union_find_join(a, b)
+            assert hash(joined) == hash(union_find_join(a, b))
+            assert joined.blocks == union_find_join(a, b).blocks
+            assert joined.label() == union_find_join(a, b).label()
+            assert a.refines(b) == (union_find_join(a, b) == b)
+
+
+def test_pair_rank_from_join():
+    # rank(A+B) = b(A) + b(B) - b(A∨B): every pair of partitions of [5],
+    # and every pair of frame partitions with m = 5 (the one-block join,
+    # None, counts as 1 block)
+    parts = list(all_partitions(5))
+    for a in parts:
+        for b in parts:
+            rank = int_rank(a.indicator_rows() + b.indicator_rows())
+            assert a.num_blocks + b.num_blocks - a.join(b).num_blocks == rank
+    sigma = FramePartition.point_sigma(range(1, 6))
+    frames = [_frame(p, sigma) for p in parts if p.num_blocks > 1]
+    for fa in frames:
+        for fb in frames:
+            joined = fa.join(fb)
+            rank = int_rank(fa.indicator_rows() + fb.indicator_rows())
+            assert fa.num_blocks + fb.num_blocks - (1 if joined is None else joined.num_blocks) == rank
+
+
+def test_excess_dim_matches_three_ranks():
+    rng = random.Random(10)
+    parts = list(all_partitions(5))
+    sigma = FramePartition.point_sigma(range(1, 6))
+    frames = [_frame(p, sigma) for p in parts if p.num_blocks > 1]
+    for pool in (parts, frames):
+        for _ in range(300):
+            a, b, c = (rng.choice(pool) for _ in range(3))
+            expected = three_rank_excess(a, b, c)
+            assert excess_dim(a, b, c) == expected
+            assert excess_dim(a, b, c, a.join(c), b.join(c)) == expected
+
+
+def test_constructor_messages_and_surface():
+    with pytest.raises(ValueError, match="^element 4 outside 1..3$"):
+        SetPartition(3, [[1, 4]])
+    with pytest.raises(ValueError, match="^element 2 in two blocks$"):
+        SetPartition(3, [[1, 2], [3, 2]])
+    p = SetPartition(10, [[10, 1], [3, 2, 9], [], [5]])
+    assert p.blocks == ((1, 10), (2, 3, 9), (4,), (5,), (6,), (7,), (8,))
+    assert p.label() == "1.10|2.3.9"
+    assert p.num_blocks == 7
+    assert SetPartition(4, [[2, 3], [1, 4]]).label() == "14|23"
+    with pytest.raises(AttributeError):
+        p.n = 3

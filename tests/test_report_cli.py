@@ -403,7 +403,7 @@ def test_cli_verify_core_smoke(capsys):
     assert cli.main(["verify", "--suite", "core"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
-    assert out.count("[pass]") == 15
+    assert out.count("[pass]") == 16
 
 
 def test_cli_verify_prints_check_times(capsys, monkeypatch):
@@ -443,6 +443,31 @@ def test_cli_kt_malformed_building(tmp_path, capsys, building):
     argv = ["config", "--model", "kt", "--n", "3", "--space", str(space)]
     assert cli.main(argv + ["--building", str(path)]) == 2
     assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "building, message",
+    [
+        ([[[1, 2, 9]]], "building entry 0: element 9 outside 1..3"),
+        ([[[1, 2]], [[1, 2], [2, 3]]], "building entry 1: element 2 in two blocks"),
+        ([[[1], [2]], [[1, 2]]], "building entry 0: "),
+        ([[[1, 2]], []], "building entry 1: "),
+        ([[[1, 2]], [[]]], "building entry 1: "),
+    ],
+    ids=["out-of-range", "overlapping", "singletons", "no-blocks", "empty-block"],
+)
+def test_cli_kt_building_messages(tmp_path, capsys, building, message):
+    """Malformed partitions and the discrete partition (the whole of X^n,
+    not a diagonal) exit 2 naming the building entry."""
+    space = tmp_path / "p1.json"
+    space.write_text(
+        json.dumps({"name": "P1", "dim_c": 1, "betti_c": [1, 0, 1], "betti_r": [1, 1]})
+    )
+    path = tmp_path / "building.json"
+    path.write_text(json.dumps(building))
+    argv = ["config", "--model", "kt", "--n", "3", "--space", str(space)]
+    assert cli.main(argv + ["--building", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
 
 
 @pytest.mark.parametrize(
