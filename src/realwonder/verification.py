@@ -400,34 +400,38 @@ def check_moduli_fixed_point(nmax: int = 6, relabel=_relabel_fixing_last):
     return True, f"{choices} choices of the distinguished point agree for n <= {nmax}"
 
 
+def _poly_mul(p, r) -> list:
+    """Product of integer coefficient lists, lowest degree first."""
+    out = [0] * (len(p) + len(r) - 1) if p and r else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(r):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_add(p, r) -> list:
+    out = [0] * max(len(p), len(r))
+    for poly in (p, r):
+        for i, c in enumerate(poly):
+            out[i] += c
+    return out
+
+
 def keel_poincare(n: int) -> list:
     """Coefficients of the Poincare polynomial of M̅0,n in q = t^2
     (n >= 3), by Keel's recursion (Keel 1992, Trans. AMS 330):
         P_3 = 1,
         P_{m+1} = (1+q) P_m + (q/2) sum_{j=2}^{m-2} C(m,j) P_{j+1} P_{m-j+1}.
     Plain integer lists, independent of the blow-up engine."""
-
-    def mul(p, r):
-        out = [0] * (len(p) + len(r) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(r):
-                out[i + j] += a * b
-        return out
-
-    def add(p, r):
-        out = [0] * max(len(p), len(r))
-        for poly in (p, r):
-            for i, c in enumerate(poly):
-                out[i] += c
-        return out
-
     polys = {3: [1]}
     for m in range(3, n):
         acc = [0]
         for j in range(2, m - 1):
-            acc = add(acc, [comb(m, j) * c for c in mul(polys[j + 1], polys[m - j + 1])])
+            acc = _poly_add(
+                acc, [comb(m, j) * c for c in _poly_mul(polys[j + 1], polys[m - j + 1])]
+            )
         # the sum is symmetric in j <-> m-j and C(m, m/2) is even, so halving is exact
-        polys[m + 1] = add(mul([1, 1], polys[m]), [0] + [c // 2 for c in acc])
+        polys[m + 1] = _poly_add(_poly_mul([1, 1], polys[m]), [0] + [c // 2 for c in acc])
     return polys[n]
 
 
@@ -453,25 +457,11 @@ def fm_nested_betti(n: int, dim_x: int, betti_x, step: int) -> list:
     X[n] is D_n at y = P(X).  Plain integer lists, independent of the
     blow-up engine."""
 
-    def mul(p, r):
-        out = [0] * (len(p) + len(r) - 1) if p and r else []
-        for i, a in enumerate(p):
-            for j, b in enumerate(r):
-                out[i + j] += a * b
-        return out
-
-    def add(p, r):
-        out = [0] * max(len(p), len(r))
-        for poly in (p, r):
-            for i, c in enumerate(poly):
-                out[i] += c
-        return out
-
     def y_mul(u, v):  # polynomials in y with coefficients in q: {k: coeffs}
         out = {}
         for i, p in u.items():
             for j, r in v.items():
-                out[i + j] = add(out.get(i + j, []), mul(p, r))
+                out[i + j] = _poly_add(out.get(i + j, []), _poly_mul(p, r))
         return out
 
     px = [betti_x[d] for d in range(0, len(betti_x), step)]
@@ -482,21 +472,21 @@ def fm_nested_betti(n: int, dim_x: int, betti_x, step: int) -> list:
         for j in range(1, s):
             w = {1: [1] if j == 1 else member[j]}
             for k, p in y_mul(w, d_polys[s - j]).items():
-                split[k] = add(split.get(k, []), [comb(s - 1, j - 1) * c for c in p])
+                split[k] = _poly_add(split.get(k, []), [comb(s - 1, j - 1) * c for c in p])
         if s == 1:
             d_polys.append({1: [1]})
             continue
         member[s] = []
         for k, p in split.items():
-            member[s] = add(member[s], mul(p, [0] + [1] * (dim_x * (k - 1) - 1)))
-        split[1] = add(split.get(1, []), member[s])
+            member[s] = _poly_add(member[s], _poly_mul(p, [0] + [1] * (dim_x * (k - 1) - 1)))
+        split[1] = _poly_add(split.get(1, []), member[s])
         d_polys.append(split)
     total = []
     for k, p in d_polys[n].items():
         power = [1]
         for _ in range(k):
-            power = mul(power, px)
-        total = add(total, mul(p, power))
+            power = _poly_mul(power, px)
+        total = _poly_add(total, _poly_mul(p, power))
     out = [0] * ((len(total) - 1) * step + 1)
     out[::step] = total
     while out and out[-1] == 0:
