@@ -184,7 +184,31 @@ def test_unsupported_excess_raises():
     )
     arr = close_under_intersection(ambient, gens, _linear_factory)
     arr = replace(arr, building_set=("b",), events=(("b",),))
-    with pytest.raises(UnsupportedExcessIntersection):
+    with pytest.raises(
+        UnsupportedExcessIntersection,
+        match=r"^transforms of u and v at center b: transforms still meet "
+        r"after the blow-up \(excess cone dim 1\)$",
+    ):
+        blow_up_step(arr)
+
+
+def test_unsupported_excess_raises_on_partitions():
+    """The partition analogue: the diagonals 12 and 234 of (P^1)^4 both
+    meet the center 134 properly, in the small diagonal, and their
+    transforms keep a shared direction.  The event is forced by hand."""
+    from realwonder.models import _config_arrangement
+    from realwonder.partitions import SetPartition
+
+    gens = [SetPartition(4, [b]) for b in ([1, 2], [1, 3, 4], [2, 3, 4])]
+    arr = _config_arrangement(4, SpaceData.projective_space(1), gens)
+    arr = replace(arr, building_set=("134",), events=(("134",),))
+    assert classify_case(arr, "12", "134") == PROPER
+    assert classify_case(arr, "234", "134") == PROPER
+    with pytest.raises(
+        UnsupportedExcessIntersection,
+        match=r"^transforms of 12 and 234 at center 134: transforms still "
+        r"meet after the blow-up \(excess cone dim 1\)$",
+    ):
         blow_up_step(arr)
 
 
