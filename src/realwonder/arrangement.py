@@ -224,7 +224,32 @@ def geom_meet(g1, g2):
     raise InputError("mixed or abstract geometry in intersection closure")
 
 
-def excess_dim(ga, gb, gc, ac=None, bc=None) -> int:
+def clean_sum_side(g, gc, sides: dict, meet=None) -> tuple:
+    """What the clean-sum test reads of one shadow g against the center
+    shadow gc, kept in sides under g and computed on the first lookup:
+    (g∧gc, whether g lies inside gc, b(g) - b(g∨gc), the block masks of
+    g).  The last two are None on ProjSubspace.  meet is g∧gc when the
+    caller has it.
+
+    A blow-up keeps one sides dict per center, so each shadow costs one
+    meet with the center and one mask list per center instead of one
+    per separation triple.  The key is the geometry itself, whose
+    equality includes its width (n, or the frame's sigma)."""
+    side = sides.get(g)
+    if side is None:
+        if meet is None:
+            meet = geom_meet(g, gc)
+        inside = meet is not None and geom_key(meet) == geom_key(g)
+        if isinstance(g, ProjSubspace):
+            side = (meet, inside, None, None)
+        else:
+            gain = g.num_blocks - (1 if meet is None else meet.num_blocks)
+            side = (meet, inside, gain, g.block_masks())
+        sides[g] = side
+    return side
+
+
+def excess_dim(ga, gb, gc, ac=None, bc=None, sides=None) -> int:
     """Clean-sum separation rule: the excess cone dimension
     rank(A+C) + rank(B+C) - rank(A+B+C) - rank(C) of (A+C)∩(B+C) over C.
 
@@ -236,14 +261,16 @@ def excess_dim(ga, gb, gc, ac=None, bc=None) -> int:
     polydiagonals meet in the polydiagonal of their join, so
     rank(A+C) = b(A) + b(C) - b(A∨C), and likewise for B; the excess
     is therefore
-        b(A) + b(B) + b(C) - b(A∨C) - b(B∨C) - rank(A+B+C),
-    with one integer elimination, for rank(A+B+C), which no join
-    gives (the partition lattice is not modular).  ac and bc are the
-    joins A∨C and B∨C when the caller has them.  A FramePartition join
-    is None for the one-block partition, which counts as 1 block; its
-    shared diagonal adds 1 to each of the four ranks and cancels.
-    The ProjSubspace branch counts ranks by linear algebra and is the
-    oracle for the partition one."""
+        (b(A) - b(A∨C)) + (b(B) - b(B∨C)) + b(C) - rank(A+B+C),
+    where the brackets come from clean_sum_side and rank(A+B+C), which
+    no join gives (the partition lattice is not modular), is
+    partitions.span_rank of the three shadows' block masks.  ac and bc
+    are the joins A∨C and B∨C when the caller has them, and sides the
+    caller's per-center dict of clean_sum_side values.  A
+    FramePartition join is None for the one-block partition, which
+    counts as 1 block; its shared diagonal adds 1 to each of the four
+    ranks and cancels.  The ProjSubspace branch counts ranks by linear
+    algebra and is the oracle for the partition one."""
     if isinstance(ga, ProjSubspace):
         return (
             sub.linear_rank(ga, gc)
@@ -251,17 +278,16 @@ def excess_dim(ga, gb, gc, ac=None, bc=None) -> int:
             - sub.linear_rank(ga, gb, gc)
             - len(gc.int_basis()[0])
         )
-    if ac is None:
-        ac = ga.join(gc)
-    if bc is None:
-        bc = gb.join(gc)
-    joined = (1 if ac is None else ac.num_blocks) + (1 if bc is None else bc.num_blocks)
+    if sides is None:
+        sides = {}
+    _, _, a_gain, a_masks = clean_sum_side(ga, gc, sides, ac)
+    _, _, b_gain, b_masks = clean_sum_side(gb, gc, sides, bc)
+    c_masks = clean_sum_side(gc, gc, sides, gc)[3]
     return (
-        ga.num_blocks
-        + gb.num_blocks
-        + gc.num_blocks
-        - joined
-        - pt.int_rank(ga.indicator_rows() + gb.indicator_rows() + gc.indicator_rows())
+        a_gain
+        + b_gain
+        + len(c_masks)
+        - pt.span_rank(gc.width, a_masks + b_masks + c_masks)
     )
 
 

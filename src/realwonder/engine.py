@@ -37,6 +37,7 @@ from .arrangement import (
     REAL,
     Stratum,
     UNRESOLVED,
+    clean_sum_side,
     excess_dim,
     geom_key,
     geom_meet,
@@ -140,60 +141,69 @@ class RunResult:
         return self.ledger.value
 
 
-def _shadow(arr: Arrangement, sid: str):
-    """Original geometry of a stratum; exceptional pieces descend to
+def _shadow_id(arr: Arrangement, sid: str):
+    """The stratum whose geometry is the shadow of sid, the original
+    geometry of that stratum, or None; exceptional pieces descend to
     their source (tangent data of linear/polydiagonal shadows is
     position-independent, so the downstairs clean-sum test decides
-    separation along whatever part of the meet the tower retained)."""
+    separation along whatever part of the meet the tower retained).
+    The closure gives distinct strata distinct geometries, so the id
+    names the shadow."""
     s = arr.strata.get(sid)
     if s is not None and s.geometry is not None:
-        return s.geometry
+        return sid
     if "^" in sid:
-        return _shadow(arr, sid.rsplit("^", 1)[0])
+        return _shadow_id(arr, sid.rsplit("^", 1)[0])
     return None
 
 
 _SHADOW_INSIDE = "shadow inside the center shadow; outside the supported analysis"
 
 
-def _separation(arr: Arrangement, a: str, b: str, cid: str, memo: dict, shadows: dict):
+def _separation(arr: Arrangement, a: str, b: str, cid: str, memo: dict, shadows: dict, sides: dict):
     """Raise unless the transforms of a and b are separated by the blow-up
-    along cid.  memo maps a pair of shadows to its outcome, and shadows a
-    stratum id to its shadow; both serve one center only (the outcome key
-    leaves out the center's shadow)."""
+    along cid.  memo maps a pair of shadow ids to its outcome, shadows a
+    stratum id to its shadow id, and sides a shadow to its clean-sum
+    side against the center's shadow (arrangement.clean_sum_side); all
+    three serve one center only (neither the outcome key nor the side
+    key holds the center's shadow)."""
     for sid in (a, b, cid):
         if sid not in shadows:
-            shadows[sid] = _shadow(arr, sid)
-    ga, gb, gc = shadows[a], shadows[b], shadows[cid]
-    if ga is None or gb is None or gc is None:
+            shadows[sid] = _shadow_id(arr, sid)
+    ia, ib, ic = shadows[a], shadows[b], shadows[cid]
+    if ia is None or ib is None or ic is None:
         raise UnsupportedExcessIntersection(
             f"transforms {a} and {b} meet inside center {cid} and no "
             "geometry is available to separate them"
         )
-    key = frozenset((ga, gb))
+    key = frozenset((ia, ib))
     outcome = memo.get(key)
     if outcome is None:
-        outcome = memo[key] = _separation_outcome(ga, gb, gc)
+        strata = arr.strata
+        outcome = memo[key] = _separation_outcome(
+            strata[ia].geometry, strata[ib].geometry, strata[ic].geometry, sides
+        )
     if outcome != "separated":
         raise UnsupportedExcessIntersection(
             f"transforms of {a} and {b} at center {cid}: {outcome}"
         )
 
 
-def _separation_outcome(ga, gb, gc) -> str:
-    def inside(g, meet) -> bool:
-        return meet is not None and geom_key(meet) == geom_key(g)
-
-    ac = geom_meet(ga, gc)
-    if inside(ga, ac):
+def _separation_outcome(ga, gb, gc, sides=None) -> str:
+    """The separation verdict for shadows ga, gb at center shadow gc;
+    sides is the caller's per-center dict of clean-sum sides."""
+    if sides is None:
+        sides = {}
+    ac, a_inside = clean_sum_side(ga, gc, sides)[:2]
+    if a_inside:
         return _SHADOW_INSIDE
-    bc = geom_meet(gb, gc)
-    if inside(gb, bc):
+    bc, b_inside = clean_sum_side(gb, gc, sides)[:2]
+    if b_inside:
         return _SHADOW_INSIDE
     mm = geom_meet(ga, gb)
-    if mm is not None and not inside(mm, geom_meet(mm, gc)):
+    if mm is not None and not clean_sum_side(mm, gc, sides)[1]:
         return "shared directions outside the center; transforms still meet"
-    excess = excess_dim(ga, gb, gc, ac, bc)
+    excess = excess_dim(ga, gb, gc, ac, bc, sides)
     if excess:
         return f"transforms still meet after the blow-up (excess cone dim {excess})"
     return "separated"
@@ -201,8 +211,29 @@ def _separation_outcome(ga, gb, gc) -> str:
 
 def _elementary(arr: Arrangement, cid: str):
     """Blow up along one invariant-or-pair-member center; returns the
-    new arrangement (flags untouched) and the case labels."""
+    new arrangement (flags untouched), the case labels and the
+    exceptional pieces made, in id order.
+
+    Only the center and the strata of its table row, the touched
+    strata, change.  T(S) is the transform of S and E the exceptional
+    divisor; a ContainsCenter or ProperMeet stratum S makes the piece
+    NEW(S) = T(S)∧E (or is aliased to its fiber stratum when the meet
+    is transversal).  One pass visits each unordered pair of touched
+    strata that met before the step, once:
+    - it sets the pair's new value v = T(S)∧T(S') by the case rules
+      below (a pair holding UNRESOLVED keeps it);
+    - from v it fills the rows of the pieces, since
+      NEW(S)∧X = (T(S)∧X)∧E for X = T(S') and X = NEW(S'), so
+      NEW(S)∧T(S') = NEW(S)∧NEW(S') = v∧E; a pair that does not meet
+      gives no entry, and a piece meets no untouched stratum.
+    The pass walks the old row of each touched stratum filtered to the
+    touched strata after it in [center] + sorted(center row), so pairs
+    without the center come in the same order as a walk of a < b over
+    the rows, and the first pair the rules reject is the same.
+    Rows are copied on their first change; untouched rows stay shared
+    with the arrangement before the step."""
     strata = arr.strata
+    old_table = arr.table
     center = strata[cid]
     d = arr.codim(cid)
     if d < 2:
@@ -215,7 +246,7 @@ def _elementary(arr: Arrangement, cid: str):
     # an untouched stratum), so only the center and its table row, the
     # "touched" strata, are classified and recomputed; a stratum absent
     # from cls is Disjoint
-    center_row = arr.table.get(cid, {})
+    center_row = old_table.get(cid, {})
     cls = {cid: CENTER}
     for sid, m in center_row.items():
         if m is UNRESOLVED:
@@ -236,17 +267,22 @@ def _elementary(arr: Arrangement, cid: str):
     fiber_c = call(gp.bundle_factor, d, 2)
     fiber_r = call(gp.bundle_factor, d, 1)
     new_strata = dict(strata)  # Disjoint strata keep their payload
-    resolved_new = {}
+    on_e = {UNRESOLVED: UNRESOLVED}  # touched stratum or piece v -> v∧E
     new_defs = []  # exceptional pieces of ContainsCenter / ProperMeet strata
     for sid, c in cls.items():
         s = strata[sid]
-        if c in (CENTER, INSIDE):
-            new_strata[sid] = replace(
-                s,
-                dim_c=s.dim_c + d - 1,
-                betti_c=call(gp.kunneth, s.betti_c, fiber_c),
-                betti_r=call(gp.kunneth, s.betti_r, fiber_r),
+        if c is CENTER or c is INSIDE:
+            new_strata[sid] = Stratum(
+                sid,
+                s.dim_c + d - 1,
+                call(gp.kunneth, s.betti_c, fiber_c),
+                call(gp.kunneth, s.betti_r, fiber_r),
+                s.flags,
+                s.partner,
+                s.real_nonempty,
+                s.geometry,
             )
+            on_e[sid] = sid
             continue
         mid = center_row[sid]  # the center itself when ContainsCenter
         m = strata[mid]
@@ -256,16 +292,19 @@ def _elementary(arr: Arrangement, cid: str):
             br = call(gp.add, s.betti_r, call(gp.blowup_terms, m.betti_r, d_s, 1))
         else:
             br = s.betti_r
-        new_strata[sid] = replace(s, betti_c=bc, betti_r=br)
-        if c == PROPER and d_s == d:
+        new_strata[sid] = Stratum(
+            sid, s.dim_c, bc, br, s.flags, s.partner, s.real_nonempty, s.geometry
+        )
+        if c is PROPER and d_s == d:
             # transversal meet: A~∩E is the whole fiber preimage of M
-            resolved_new[sid] = mid
+            on_e[sid] = mid
         else:
             nid = f"{sid}^{cid}"
-            resolved_new[sid] = nid
+            on_e[sid] = on_e[nid] = nid
             new_defs.append((nid, sid, mid, d_s))
 
-    for nid, sid, mid, d_s in sorted(new_defs):
+    new_defs.sort()
+    for nid, sid, mid, d_s in new_defs:
         s, m = strata[sid], strata[mid]
         invariant = s.partner is None and center.partner is None
         bc = call(gp.kunneth, m.betti_c, call(gp.bundle_factor, d_s, 2))
@@ -286,9 +325,10 @@ def _elementary(arr: Arrangement, cid: str):
         )
 
     # ---- intersection table -----------------------------------------
-    raw_meet = arr.raw_meet
     separations = {}  # outcome by pair of shadows, for this center only
     shadows = {}  # shadow by stratum id, for this center only
+    sides = {}  # clean-sum side by shadow, for this center only
+    restrictions = {}  # exceptional_restriction by (m, big), this step only
 
     by_center_meet = {cid: [cid]}
     for sid, m in center_row.items():
@@ -301,110 +341,103 @@ def _elementary(arr: Arrangement, cid: str):
         NEW(A') for the arrangement member A' ⊆ big with A'∧C = m of
         complementary dimension (clean intersections make the normal
         bundles agree); anything else stays unresolved."""
-        m_big = cid if cls[big] == CONTAINS else raw_meet(big, cid)
-        target = strata[m].dim_c + strata[big].dim_c - strata[m_big].dim_c
-        candidates = [
-            s
-            for s in by_center_meet.get(m, ())
-            if strata[s].dim_c == target and raw_meet(s, big) == s
-        ]
-        if len(candidates) == 1:
-            return resolved_new[candidates[0]]
-        return UNRESOLVED
-
-    def tt_value(a, b, m):
-        ca, cb = cls[a], cls[b]
-        if ca == CENTER or cb == CENTER:
-            other, co = (b, cb) if ca == CENTER else (a, ca)
-            return other if co == INSIDE else resolved_new[other]
-        if ca == INSIDE:
-            return m if cb == INSIDE else exceptional_restriction(m, b)
-        if cb == INSIDE:
-            return exceptional_restriction(m, a)
-        # both ContainsCenter / ProperMeet
-        mc = raw_meet(m, cid)
-        if mc is UNRESOLVED:
-            return UNRESOLVED
-        if mc != m:
-            return m
-        if m == cid:
-            return None  # normal directions along C are disjoint (clean)
-        _separation(arr, a, b, cid, separations, shadows)
-        return None
+        value = restrictions.get((m, big))
+        if value is None:
+            target = strata[m].dim_c + strata[big].dim_c - strata[center_row[big]].dim_c
+            candidates = [
+                s
+                for s in by_center_meet.get(m, ())
+                if strata[s].dim_c == target and arr.raw_meet(s, big) == s
+            ]
+            value = on_e[candidates[0]] if len(candidates) == 1 else UNRESOLVED
+            restrictions[(m, big)] = value
+        return value
 
     touched = [cid] + sorted(center_row)
-    touched_set = set(touched)
-    new_table = dict(arr.table)  # untouched rows are shared, never mutated
+    new_table = dict(old_table)  # untouched rows are shared, never mutated
     edited = {}
 
     def edit_row(sid):
         row = edited.get(sid)
         if row is None:
-            row = dict(arr.table.get(sid, ()))
-            edited[sid] = row
-            new_table[sid] = row
+            row = edited[sid] = new_table[sid] = dict(old_table.get(sid, ()))
         return row
 
+    piece = {sid: nid for nid, sid, _, _ in new_defs}
+    piece_touched = {nid: {} for nid in piece.values()}  # NEW(S)∧T(S')
+    piece_pieces = {nid: {} for nid in piece.values()}  # NEW(S)∧NEW(S')
+    later = set(touched)
     for a in touched:
-        row = arr.table.get(a, ())
-        for b in row:
-            if b not in touched_set or not (a < b):
-                continue
+        later.discard(a)
+        ca = cls[a]
+        row = old_table.get(a, {})
+        row_a = edited.get(a)
+        na = piece.get(a)
+        if na is not None:
+            touched_a, pieces_a = piece_touched[na], piece_pieces[na]
+        for b in filter(later.__contains__, row):
             m = row[b]
             if m is UNRESOLVED:
-                continue
-            value = tt_value(a, b, m)
-            if value == m:
-                continue
-            if value is None:
-                del edit_row(a)[b]
-                del edit_row(b)[a]
+                value = m
+            elif ca is CENTER:
+                value = on_e[b]  # b itself when InsideCenter
+            elif ca is INSIDE:
+                value = m if cls[b] is INSIDE else exceptional_restriction(m, b)
+            elif cls[b] is INSIDE:
+                value = exceptional_restriction(m, a)
+            elif m == cid:
+                value = None  # normal directions along C are disjoint (clean)
             else:
-                edit_row(a)[b] = value
-                edit_row(b)[a] = value
+                # both ContainsCenter / ProperMeet
+                mc = old_table[m].get(cid)
+                if mc is UNRESOLVED:
+                    value = UNRESOLVED
+                elif mc != m:
+                    value = m
+                else:
+                    _separation(arr, a, b, cid, separations, shadows, sides)
+                    value = None
+            if value != m:
+                if row_a is None:
+                    row_a = edit_row(a)
+                row_b = edited.get(b)
+                if row_b is None:
+                    row_b = edit_row(b)
+                if value is None:
+                    del row_a[b]
+                    del row_b[a]
+                    continue
+                row_a[b] = value
+                row_b[a] = value
+            # NEW(S)∧T(S') = NEW(S)∧NEW(S') = (T(S)∧T(S'))∧E
+            on = on_e.get(value)
+            if on is None:
+                continue
+            nb = piece.get(b)
+            if nb is not None:
+                piece_touched[nb][a] = on
+                if na is not None:
+                    pieces_a[nb] = on
+                    piece_pieces[nb][na] = on
+            if na is not None:
+                touched_a[b] = on
 
-    created = [nd[0] for nd in sorted(new_defs)]
-    sources = {nd[0]: nd[1] for nd in new_defs}
-    created_set = set(created)
-
-    def and_e(v):
-        """The meet of the nonempty new meet v with the exceptional
-        divisor, or None when empty."""
-        if v is UNRESOLVED or v in created_set:
-            return v  # an exceptional piece created this step
-        c = cls.get(v, DISJOINT)
-        if c in (INSIDE, CENTER):
-            return v
-        if c == DISJOINT:
-            return None
-        return resolved_new[v]
-
-    for nid in created:
-        sid = sources[nid]
-        row = new_table[sid]  # holds no entry for sid itself
+    # rows in the order of the reference formula: the source, the
+    # touched strata in touched order, then the pieces in id order
+    position = {sid: i for i, sid in enumerate(touched)}
+    created = [nd[0] for nd in new_defs]
+    for nid, sid, _, _ in new_defs:
         nrow = {sid: nid}
-        # NEW(S)∧T(S') = (T(S)∧T(S'))∧E; nonempty only for touched S'
-        for other in touched:
-            v = row.get(other)
-            if v is not None:
-                val = and_e(v)
-                if val is not None:
-                    nrow[other] = val
+        with_touched = piece_touched[nid]
+        for other in sorted(with_touched, key=position.__getitem__):
+            nrow[other] = with_touched[other]
+        with_pieces = piece_pieces[nid]
+        for other in sorted(with_pieces):
+            nrow[other] = with_pieces[other]
         new_table[nid] = nrow
-    # NEW(S)∧NEW(S') reduces to the same formula
-    for i, nid in enumerate(created):
-        row = new_table[sources[nid]]
-        for nid2 in created[:i]:
-            v = row.get(sources[nid2])
-            if v is not None:
-                val = and_e(v)
-                if val is not None:
-                    new_table[nid][nid2] = val
-                    new_table[nid2][nid] = val
-    for nid in created:
-        for other, val in new_table[nid].items():
-            if other not in created_set:
-                edit_row(other)[nid] = val
+        for other in nrow:
+            if other not in with_pieces:
+                edit_row(other)[nid] = nrow[other]
 
     out = replace(
         arr,

@@ -30,6 +30,15 @@ def _merge_masks(blocks, other) -> list:
     return blocks
 
 
+def _with_singletons(masks, width) -> tuple:
+    """The given block masks followed by one single-bit mask for each of
+    the width points they do not cover."""
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    return tuple(masks) + tuple(1 << i for i in range(width) if not (covered >> i) & 1)
+
+
 class SetPartition:
     """A set partition of {1..n}, held as the sorted bit masks of its
     blocks of two or more points (point x is bit x - 1).
@@ -108,6 +117,15 @@ class SetPartition:
     @property
     def is_discrete(self) -> bool:
         return not self.masks
+
+    @property
+    def width(self) -> int:
+        return self.n
+
+    def block_masks(self) -> tuple:
+        """The indicator rows as bit masks: every block, singletons
+        included."""
+        return _with_singletons(self.masks, self.n)
 
     def join(self, other: "SetPartition") -> "SetPartition":
         """Finest common coarsening; polydiagonal intersection
@@ -232,6 +250,10 @@ class FramePartition:
     def proj_dim(self) -> int:
         return self.num_blocks - 2
 
+    @property
+    def width(self) -> int:
+        return len(self.sigma)
+
     def join(self, other: "FramePartition"):
         """D_self ∩ D_other; None for the projectively empty diagonal."""
         blocks = _merge_masks(self.blocks, other.blocks)
@@ -252,16 +274,16 @@ class FramePartition:
             blocks.append(image)
         return FramePartition(blocks, sigma)
 
+    def block_masks(self) -> tuple:
+        """The indicator rows as bit masks: every block, singletons
+        included."""
+        return _with_singletons(self.blocks, len(self.sigma))
+
     def indicator_rows(self):
         """One 0/1 row per block, singletons included, spanning D_P in
         C^m."""
         m = len(self.sigma)
-        covered = 0
-        for b in self.blocks:
-            covered |= b
-        blocks = list(self.blocks)
-        blocks += [1 << i for i in range(m) if not (covered >> i) & 1]
-        return [tuple((b >> i) & 1 for i in range(m)) for b in blocks]
+        return [tuple((b >> i) & 1 for i in range(m)) for b in self.block_masks()]
 
     def __eq__(self, other):
         if not isinstance(other, FramePartition):
@@ -326,3 +348,38 @@ def int_rank(rows) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def span_rank(width: int, masks) -> int:
+    """Rank of the 0/1 rows given as bit masks over width columns (bit i
+    is column i), for the block indicators of partitions.
+
+    Each step below keeps the rank:
+    - zero rows and repeated rows do not change the span;
+    - for a one-point row e_x, subtracting it from every other row with
+      a 1 at x is a row operation, so the span is unchanged, the other
+      rows stay 0/1, and afterwards e_x is the only row with support at
+      x.  The span is then span(e_x) ⊕ span(the other rows), a direct
+      sum because the supports are disjoint, so the rank is 1 plus the
+      rank of the other rows.
+    Every one-point row of a round splits off at once (distinct rows,
+    so distinct columns), and clearing their columns may make new ones.
+    When none is left, one nonzero row has rank 1 and two distinct ones
+    rank 2 (distinct nonzero 0/1 rows are never proportional); anything
+    larger goes to int_rank, the oracle for this function."""
+    rows = set(masks)
+    rows.discard(0)
+    rank = 0
+    while True:
+        points = 0
+        for row in rows:
+            if not row & (row - 1):
+                points |= row
+                rank += 1
+        if not points:
+            break
+        rows = {row & ~points for row in rows}
+        rows.discard(0)
+    if len(rows) <= 2:
+        return rank + len(rows)
+    return rank + int_rank([tuple((row >> i) & 1 for i in range(width)) for row in rows])

@@ -594,3 +594,109 @@ def test_changed_strata_check_rechecks_partner(monkeypatch):
         [f"{sid}: partner payload mismatch", f"{mate}: partner payload mismatch"]
     )
     assert message.split("; ") == full
+
+
+def _table_models():
+    """Small runs of every model kind: moduli n <= 6 for each number of
+    2-cycles of sigma, fm and ulyanov n=4 on P^1, the kt chain, 10
+    seeded DCP inputs and the DCP input with conjugate pairs."""
+    import random
+
+    from realwonder.models import build_kt, build_ulyanov
+    from realwonder.verification import _sigma_types, random_dcp_arrangement
+
+    p1 = SpaceData.projective_space(1)
+    models = [
+        (f"moduli n={n} {spec.sigma}", lambda spec=spec: build_moduli(spec))
+        for n in (4, 5, 6)
+        for spec in _sigma_types(n)
+    ]
+    models += [
+        ("fm n=4 P1", lambda: build_fm(4, p1)),
+        ("ulyanov n=4 P1", lambda: build_ulyanov(4, p1)),
+        ("kt n=3 P1 chain", lambda: build_kt(3, p1, [[[1, 2, 3]]])),
+        ("dcp-fixed", _fixed_dcp),
+    ]
+    for i in range(10):
+        dim = 3 if i % 2 == 0 else 4
+        models.append(
+            (
+                f"dcp seed {i} P^{dim}",
+                lambda i=i, dim=dim: random_dcp_arrangement(random.Random(i), dim)[1],
+            )
+        )
+    return models
+
+
+def _reference_piece_rows(before, after, cid, cls, created):
+    """The rows of a center's exceptional pieces by the reference
+    formula NEW(S)∧X = (T(S)∧X)∧E: the source's final value against
+    each touched stratum, in touched order, then against each other
+    piece's source, in piece order, each cut down to E."""
+    center_row = before.table.get(cid, {})
+    touched = [cid] + sorted(center_row)
+    source = {nid: nid.rsplit("^", 1)[0] for nid in created}
+
+    def and_e(v):
+        if v is UNRESOLVED or v in source:
+            return v
+        label = cls.get(v, DISJOINT)
+        if label in (INSIDE, "Center"):
+            return v
+        if label == DISJOINT:
+            return None
+        piece = f"{v}^{cid}"
+        return piece if piece in source else center_row[v]  # transversal alias
+
+    rows = {}
+    for nid in created:
+        final = after.table[source[nid]]
+        row = {source[nid]: nid}
+        for other in touched:
+            v = final.get(other)
+            if v is not None and and_e(v) is not None:
+                row[other] = and_e(v)
+        for nid2 in created:
+            v = final.get(source[nid2]) if nid2 != nid else None
+            if v is not None and and_e(v) is not None:
+                row[nid2] = and_e(v)
+        rows[nid] = list(row.items())
+    return rows
+
+
+@pytest.mark.parametrize("build", [b for _, b in _table_models()], ids=[n for n, _ in _table_models()])
+def test_table_invariants_every_center(build):
+    """At every center of every step: the table is symmetric with no
+    self entries, names only live strata (or UNRESOLVED), gives each new
+    piece the row of the reference formula, in the same order, and
+    shares with the arrangement before the center every row outside
+    the center and its row."""
+    from realwonder import engine
+
+    arr = build()
+    centers = 0
+    while arr.events:
+        cur = arr
+        for cid in arr.events[0]:
+            after, cls, created = engine._elementary(cur, cid)
+            centers += 1
+            table = after.table
+            assert set(table) == set(after.strata)
+            for a, row in table.items():
+                assert a not in row
+                for b, v in row.items():
+                    assert b in after.strata
+                    assert v is UNRESOLVED or v in after.strata
+                    assert table[b][a] is v or table[b][a] == v
+            reference = _reference_piece_rows(cur, after, cid, cls, created)
+            assert {nid: list(table[nid].items()) for nid in created} == reference
+            touched = {cid}.union(cur.table.get(cid, ()))
+            for sid, row in cur.table.items():
+                if sid not in touched:
+                    assert table[sid] is row
+            cur = after
+        arr, _ = blow_up_step(arr)
+        assert {sid: list(row.items()) for sid, row in arr.table.items()} == {
+            sid: list(row.items()) for sid, row in cur.table.items()
+        }
+    assert centers == sum(len(ev) for ev in build().events)

@@ -300,3 +300,52 @@ def test_constructor_messages_and_surface():
     assert SetPartition(4, [[2, 3], [1, 4]]).label() == "14|23"
     with pytest.raises(AttributeError):
         p.n = 3
+
+
+def test_span_rank_matches_int_rank():
+    # 2,000 seeded 0/1 matrices of widths 0-10, with repeated rows,
+    # one-point rows and zero rows mixed in
+    from realwonder.partitions import span_rank
+
+    rng = random.Random(11)
+    for trial in range(2000):
+        width = trial % 11
+        masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+        if masks and rng.random() < 0.5:
+            masks.append(rng.choice(masks))
+        if width:
+            masks += [1 << rng.randrange(width) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(masks)
+        rows = [tuple((m >> i) & 1 for i in range(width)) for m in masks]
+        assert span_rank(width, masks) == int_rank(rows), (width, masks)
+    assert span_rank(0, []) == 0
+    assert span_rank(0, [0, 0]) == 0
+    assert span_rank(3, [0b011, 0b011, 0b110, 0b101]) == 3
+
+
+def test_excess_dim_every_triple():
+    # every triple of partitions of [4] and of frame partitions with
+    # m = 5 against the four ranks of three_rank_excess, each rank by
+    # int_rank of the distinct rows; each center's sides are shared
+    # across its triples, as in a blow-up
+    sigma = FramePartition.point_sigma(range(1, 6))
+    frames = [_frame(p, sigma) for p in all_partitions(5) if p.num_blocks > 1]
+    for pool in (list(all_partitions(4)), frames):
+        rows = {g: frozenset(g.indicator_rows()) for g in pool}
+        ranks = {}
+
+        def rank(*gs):
+            key = frozenset().union(*(rows[g] for g in gs))
+            if key not in ranks:
+                ranks[key] = int_rank(sorted(key))
+            return ranks[key]
+
+        for c in pool:
+            sides = {}
+            over_c = {a: rank(a, c) - rank(c) for a in pool}
+            for a in pool:
+                for b in pool:
+                    expected = over_c[a] + over_c[b] + rank(c) - rank(a, b, c)
+                    assert excess_dim(a, b, c, sides=sides) == expected
+        a, b, c = pool[1], pool[-1], pool[len(pool) // 2]
+        assert three_rank_excess(a, b, c) == rank(a, c) + rank(b, c) - rank(a, b, c) - rank(c)
