@@ -330,9 +330,10 @@ def _elementary(arr: Arrangement, cid: str):
     sides = {}  # clean-sum side by shadow, for this center only
     restrictions = {}  # exceptional_restriction by (m, big), this step only
 
-    by_center_meet = {cid: [cid]}
+    # the strata by their meet with the center and their dimension
+    by_center_meet = {(cid, center.dim_c): [cid]}
     for sid, m in center_row.items():
-        by_center_meet.setdefault(m, []).append(sid)
+        by_center_meet.setdefault((m, strata[sid].dim_c), []).append(sid)
 
     def exceptional_restriction(m, big):
         """T(a)∧T(big) for a inside the center and big in
@@ -341,16 +342,17 @@ def _elementary(arr: Arrangement, cid: str):
         NEW(A') for the arrangement member A' ⊆ big with A'∧C = m of
         complementary dimension (clean intersections make the normal
         bundles agree); anything else stays unresolved."""
-        value = restrictions.get((m, big))
+        key = (m, big)
+        value = restrictions.get(key)
         if value is None:
             target = strata[m].dim_c + strata[big].dim_c - strata[center_row[big]].dim_c
             candidates = [
                 s
-                for s in by_center_meet.get(m, ())
-                if strata[s].dim_c == target and arr.raw_meet(s, big) == s
+                for s in by_center_meet.get((m, target), ())
+                if s == big or old_table[s].get(big) == s
             ]
             value = on_e[candidates[0]] if len(candidates) == 1 else UNRESOLVED
-            restrictions[(m, big)] = value
+            restrictions[key] = value
         return value
 
     touched = [cid] + sorted(center_row)
@@ -410,10 +412,12 @@ def _elementary(arr: Arrangement, cid: str):
                 row_a[b] = value
                 row_b[a] = value
             # NEW(S)∧T(S') = NEW(S)∧NEW(S') = (T(S)∧T(S'))∧E
+            nb = piece.get(b)
+            if na is None and nb is None:
+                continue
             on = on_e.get(value)
             if on is None:
                 continue
-            nb = piece.get(b)
             if nb is not None:
                 piece_touched[nb][a] = on
                 if na is not None:
@@ -435,9 +439,12 @@ def _elementary(arr: Arrangement, cid: str):
         for other in sorted(with_pieces):
             nrow[other] = with_pieces[other]
         new_table[nid] = nrow
-        for other in nrow:
+        for other, value in nrow.items():
             if other not in with_pieces:
-                edit_row(other)[nid] = nrow[other]
+                row = edited.get(other)
+                if row is None:
+                    row = edit_row(other)
+                row[nid] = value
 
     out = replace(
         arr,
@@ -446,6 +453,27 @@ def _elementary(arr: Arrangement, cid: str):
         table=new_table,
     )
     return out, cls, created
+
+
+def _conj_id(strata: dict, sid: str) -> str:
+    """The id of the conjugate of sid, a stratum of strata or a piece
+    made from them: a piece's conjugate is the piece of the conjugate
+    source at the conjugate center.  (A module function: a recursive
+    closure would hold strata in a reference cycle, alive until the
+    next garbage collection.)"""
+    s = strata.get(sid)
+    if s is not None:
+        return sid if s.partner is None else s.partner
+    src, c = sid.rsplit("^", 1)
+    return f"{_conj_id(strata, src)}^{_conj_id(strata, c)}"
+
+
+def _with_flags(s: Stratum, flags) -> Stratum:
+    """s with other flags, through the constructor, which costs a
+    fraction of dataclasses.replace."""
+    return Stratum(
+        s.sid, s.dim_c, s.betti_c, s.betti_r, flags, s.partner, s.real_nonempty, s.geometry
+    )
 
 
 def blow_up_step(arr: Arrangement, event=None):
@@ -534,7 +562,7 @@ def blow_up_step(arr: Arrangement, event=None):
         if sid == pair_meet and touching_pair:
             continue  # real structure overridden by the pair correction
         if any(lab in (INSIDE, CENTER) for lab in labels):
-            new_strata[sid] = replace(s_new, flags=bundle_flags(s_old.flags))
+            new_strata[sid] = _with_flags(s_new, bundle_flags(s_old.flags))
         elif any(lab in (CONTAINS, PROPER) for lab in labels):
             mid = arr.meet(sid, event[0])
             m_old = strata[mid]
@@ -543,23 +571,14 @@ def blow_up_step(arr: Arrangement, event=None):
                 m_flags, m_empty = pair_event_flags(), True
             else:
                 m_flags, m_empty = m_old.flags, m_old.real_status != REAL
-            new_strata[sid] = replace(
+            new_strata[sid] = _with_flags(
                 s_new,
-                flags=propagate_blowup_flags(
-                    s_old.flags, m_flags, m_empty, stretched, d_s
-                ),
+                propagate_blowup_flags(s_old.flags, m_flags, m_empty, stretched, d_s),
             )
 
     # partner links among exceptional pieces
-    def conj_of(sid):
-        if sid in strata:
-            s = strata[sid]
-            return sid if s.partner is None else s.partner
-        src, c = sid.rsplit("^", 1)
-        return f"{conj_of(src)}^{conj_of(c)}"
-
     for nid in created_all:
-        mate = conj_of(nid)
+        mate = _conj_id(strata, nid)
         if mate == nid:
             continue
         if mate not in new_strata:
