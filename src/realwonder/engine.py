@@ -39,7 +39,6 @@ from .arrangement import (
     UNRESOLVED,
     clean_sum_side,
     excess_dim,
-    geom_key,
     geom_meet,
 )
 from .errors import EngineError, InternalCheckError, UnsupportedExcessIntersection
@@ -160,7 +159,9 @@ def _shadow_id(arr: Arrangement, sid: str):
 _SHADOW_INSIDE = "shadow inside the center shadow; outside the supported analysis"
 
 
-def _separation(arr: Arrangement, a: str, b: str, cid: str, memo: dict, shadows: dict, sides: dict):
+def _separation(
+    arr: Arrangement, a: str, b: str, cid: str, memo: dict, shadows: dict, sides: dict
+):
     """Raise unless the transforms of a and b are separated by the blow-up
     along cid.  memo maps a pair of shadow ids to its outcome, shadows a
     stratum id to its shadow id, and sides a shadow to its clean-sum
@@ -325,8 +326,8 @@ def _elementary(arr: Arrangement, cid: str):
         )
 
     # ---- intersection table -----------------------------------------
-    separations = {}  # outcome by pair of shadows, for this center only
-    shadows = {}  # shadow by stratum id, for this center only
+    separations = {}  # outcome by pair of shadow ids, for this center only
+    shadows = {}  # shadow id by stratum id, for this center only
     sides = {}  # clean-sum side by shadow, for this center only
     restrictions = {}  # exceptional_restriction by (m, big), this step only
 
