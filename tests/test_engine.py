@@ -700,3 +700,30 @@ def test_table_invariants_every_center(build):
             sid: list(row.items()) for sid, row in cur.table.items()
         }
     assert centers == sum(len(ev) for ev in build().events)
+
+
+def test_unresolved_touched_pair_keeps_its_marker():
+    """A pair of touched strata holding UNRESOLVED keeps it through the
+    step, and the pieces read it by the reference formula: their entries
+    against that pair are UNRESOLVED too."""
+    from realwonder import engine
+
+    arr = build_fm(4, SpaceData.projective_space(1))
+    while True:
+        cid = arr.events[0][0]
+        row = arr.table[cid]
+        pairs = [(a, b) for a in sorted(row) for b in arr.table[a] if b in row and a < b]
+        if pairs:
+            break
+        arr, _ = blow_up_step(arr)
+    a, b = pairs[0]
+    table = {sid: dict(r) for sid, r in arr.table.items()}
+    table[a][b] = table[b][a] = UNRESOLVED
+    before = replace(arr, table=table)
+    after, cls, created = engine._elementary(before, cid)
+    assert after.table[a][b] is UNRESOLVED and after.table[b][a] is UNRESOLVED
+    pieces = [nid for nid in created if nid.rsplit("^", 1)[0] in (a, b)]
+    assert pieces
+    assert all(UNRESOLVED in after.table[nid].values() for nid in pieces)
+    reference = _reference_piece_rows(before, after, cid, cls, created)
+    assert {nid: list(after.table[nid].items()) for nid in created} == reference
