@@ -19,7 +19,12 @@ classification, or from StepTrace.cases, is Disjoint.
 
 The intersection table is updated by id-level rules; the only geometric
 input is the clean-sum separation test when two transforms met inside
-the center.  Exceptional pieces that coincide with full preimage fibers
+the center.  Its outcome depends only on the shadows A, B of the two
+strata and C of the center, so each center decides it once per pair of
+shadows.  Most pairs need no rank: once A∩B ⊆ C is checked, C ⊆ A
+gives (A+C)∩(B+C) = A∩(B+C) = (A∩B)+C = C by the modular law, so the
+transforms are separated (likewise for C ⊆ B); only the rest reach the
+rank count of excess_dim.  Exceptional pieces that coincide with full preimage fibers
 (transversal proper meets, dim A - dim M = d) are aliased to the fiber
 stratum so later InsideCenter classifications stay exact.  Pairs the
 rules cannot express are marked unresolved and abort the run only if
@@ -39,6 +44,7 @@ from .arrangement import (
     UNRESOLVED,
     clean_sum_side,
     excess_dim,
+    geom_key,
     geom_meet,
 )
 from .errors import EngineError, InternalCheckError, UnsupportedExcessIntersection
@@ -156,43 +162,29 @@ def _shadow_id(arr: Arrangement, sid: str):
     return None
 
 
+_UNSEEN = object()  # a stratum whose shadow is not looked up yet
 _SHADOW_INSIDE = "shadow inside the center shadow; outside the supported analysis"
 
 
-def _separation(
-    arr: Arrangement, a: str, b: str, cid: str, memo: dict, shadows: dict, sides: dict
-):
-    """Raise unless the transforms of a and b are separated by the blow-up
-    along cid.  memo maps a pair of shadow ids to its outcome, shadows a
-    stratum id to its shadow id, and sides a shadow to its clean-sum
-    side against the center's shadow (arrangement.clean_sum_side); all
-    three serve one center only (neither the outcome key nor the side
-    key holds the center's shadow)."""
-    for sid in (a, b, cid):
-        if sid not in shadows:
-            shadows[sid] = _shadow_id(arr, sid)
-    ia, ib, ic = shadows[a], shadows[b], shadows[cid]
-    if ia is None or ib is None or ic is None:
-        raise UnsupportedExcessIntersection(
-            f"transforms {a} and {b} meet inside center {cid} and no "
-            "geometry is available to separate them"
-        )
-    key = frozenset((ia, ib))
-    outcome = memo.get(key)
-    if outcome is None:
-        strata = arr.strata
-        outcome = memo[key] = _separation_outcome(
-            strata[ia].geometry, strata[ib].geometry, strata[ic].geometry, sides
-        )
-    if outcome != "separated":
-        raise UnsupportedExcessIntersection(
-            f"transforms of {a} and {b} at center {cid}: {outcome}"
-        )
+def _no_geometry(a: str, b: str, cid: str) -> UnsupportedExcessIntersection:
+    return UnsupportedExcessIntersection(
+        f"transforms {a} and {b} meet inside center {cid} and no "
+        "geometry is available to separate them"
+    )
 
 
 def _separation_outcome(ga, gb, gc, sides=None) -> str:
-    """The separation verdict for shadows ga, gb at center shadow gc;
-    sides is the caller's per-center dict of clean-sum sides."""
+    """The separation verdict for shadows A = ga, B = gb at center shadow
+    C = gc; sides is the caller's per-center dict of clean-sum sides.
+
+    After the two inside checks and the shared-directions check, A∩B
+    lies in C.  If C also lies in A (or in B), the modular law settles
+    the pair without a rank: (A+C)∩(B+C) = A∩(B+C) = (A∩B)+C = C, so
+    the excess is 0.  The test reads the side's meet A∧C, which
+    clean_sum_side already holds, and compares it with C by geom_key;
+    it holds for every geometry class, as all three are lattices of
+    linear subspaces.  Only the other pairs reach excess_dim, the rank
+    oracle."""
     if sides is None:
         sides = {}
     ac, a_inside = clean_sum_side(ga, gc, sides)[:2]
@@ -204,6 +196,11 @@ def _separation_outcome(ga, gb, gc, sides=None) -> str:
     mm = geom_meet(ga, gb)
     if mm is not None and not clean_sum_side(mm, gc, sides)[1]:
         return "shared directions outside the center; transforms still meet"
+    key_c = geom_key(gc)
+    if (ac is not None and geom_key(ac) == key_c) or (
+        bc is not None and geom_key(bc) == key_c
+    ):
+        return "separated"
     excess = excess_dim(ga, gb, gc, ac, bc, sides)
     if excess:
         return f"transforms still meet after the blow-up (excess cone dim {excess})"
@@ -230,7 +227,11 @@ def _elementary(arr: Arrangement, cid: str):
     The pass walks the old row of each touched stratum filtered to the
     touched strata after it in [center] + sorted(center row), so pairs
     without the center come in the same order as a walk of a < b over
-    the rows, and the first pair the rules reject is the same.
+    the rows, and the first pair the rules reject is the same.  A pair
+    of InsideCenter strata keeps its value and fills no piece row, so
+    an InsideCenter stratum walks only to the others.  Two transforms
+    that met inside the center are checked for separation in the pass,
+    by one lookup in the center's memo of outcomes by pair of shadows.
     Rows are copied on their first change; untouched rows stay shared
     with the arrangement before the step."""
     strata = arr.strata
@@ -326,10 +327,16 @@ def _elementary(arr: Arrangement, cid: str):
         )
 
     # ---- intersection table -----------------------------------------
-    separations = {}  # outcome by pair of shadow ids, for this center only
-    shadows = {}  # shadow id by stratum id, for this center only
-    sides = {}  # clean-sum side by shadow, for this center only
+    inside = {sid for sid, c in cls.items() if c is INSIDE}
     restrictions = {}  # exceptional_restriction by (m, big), this step only
+    # separation data, for this center only: each stratum's shadow id,
+    # the outcome by shadow id by shadow id (stored both ways, so keyed
+    # by the unordered pair), and the clean-sum side by shadow
+    ic = _shadow_id(arr, cid)
+    gc = None if ic is None else strata[ic].geometry
+    shadows = {}
+    separations = {}
+    sides = {}
 
     # the strata by their meet with the center and their dimension
     by_center_meet = {(cid, center.dim_c): [cid]}
@@ -339,21 +346,19 @@ def _elementary(arr: Arrangement, cid: str):
     def exceptional_restriction(m, big):
         """T(a)∧T(big) for a inside the center and big in
         ContainsCenter/ProperMeet position, with old meet m: the
-        restriction of big's exceptional bundle over m.  It equals
-        NEW(A') for the arrangement member A' ⊆ big with A'∧C = m of
-        complementary dimension (clean intersections make the normal
-        bundles agree); anything else stays unresolved."""
-        key = (m, big)
-        value = restrictions.get(key)
-        if value is None:
-            target = strata[m].dim_c + strata[big].dim_c - strata[center_row[big]].dim_c
-            candidates = [
-                s
-                for s in by_center_meet.get((m, target), ())
-                if s == big or old_table[s].get(big) == s
-            ]
-            value = on_e[candidates[0]] if len(candidates) == 1 else UNRESOLVED
-            restrictions[key] = value
+        restriction of big's exceptional bundle over m, kept in
+        restrictions under (m, big).  It equals NEW(A') for the
+        arrangement member A' ⊆ big with A'∧C = m of complementary
+        dimension (clean intersections make the normal bundles agree);
+        anything else stays unresolved."""
+        target = strata[m].dim_c + strata[big].dim_c - strata[center_row[big]].dim_c
+        candidates = [
+            s
+            for s in by_center_meet.get((m, target), ())
+            if s == big or old_table[s].get(big) == s
+        ]
+        value = on_e[candidates[0]] if len(candidates) == 1 else UNRESOLVED
+        restrictions[(m, big)] = value
         return value
 
     touched = [cid] + sorted(center_row)
@@ -370,36 +375,60 @@ def _elementary(arr: Arrangement, cid: str):
     piece_touched = {nid: {} for nid in piece.values()}  # NEW(S)∧T(S')
     piece_pieces = {nid: {} for nid in piece.values()}  # NEW(S)∧NEW(S')
     later = set(touched)
+    later_outer = later - inside  # a pair of InsideCenter strata keeps its value
     for a in touched:
         later.discard(a)
+        later_outer.discard(a)
         ca = cls[a]
         row = old_table.get(a, {})
         row_a = edited.get(a)
         na = piece.get(a)
         if na is not None:
             touched_a, pieces_a = piece_touched[na], piece_pieces[na]
-        for b in filter(later.__contains__, row):
+        ia = sep_a = None  # a's shadow and outcome row, on a's first separation
+        walk = later_outer if ca is INSIDE else later
+        for b in filter(walk.__contains__, row):
             m = row[b]
             if m is UNRESOLVED:
                 value = m
             elif ca is CENTER:
                 value = on_e[b]  # b itself when InsideCenter
             elif ca is INSIDE:
-                value = m if cls[b] is INSIDE else exceptional_restriction(m, b)
-            elif cls[b] is INSIDE:
-                value = exceptional_restriction(m, a)
+                value = restrictions.get((m, b))
+                if value is None:
+                    value = exceptional_restriction(m, b)
+            elif b in inside:
+                value = restrictions.get((m, a))
+                if value is None:
+                    value = exceptional_restriction(m, a)
             elif m == cid:
                 value = None  # normal directions along C are disjoint (clean)
+            elif m not in inside:
+                value = m
             else:
-                # both ContainsCenter / ProperMeet
-                mc = old_table[m].get(cid)
-                if mc is UNRESOLVED:
-                    value = UNRESOLVED
-                elif mc != m:
-                    value = m
-                else:
-                    _separation(arr, a, b, cid, separations, shadows, sides)
-                    value = None
+                # both ContainsCenter / ProperMeet, meeting inside the
+                # center: the transforms must be separated
+                if sep_a is None:
+                    ia = shadows.get(a, _UNSEEN)
+                    if ia is _UNSEEN:
+                        ia = shadows[a] = _shadow_id(arr, a)
+                    sep_a = separations.setdefault(ia, {})
+                ib = shadows.get(b, _UNSEEN)
+                if ib is _UNSEEN:
+                    ib = shadows[b] = _shadow_id(arr, b)
+                outcome = sep_a.get(ib)
+                if outcome is None:
+                    if ia is None or ib is None or gc is None:
+                        raise _no_geometry(a, b, cid)
+                    outcome = _separation_outcome(
+                        strata[ia].geometry, strata[ib].geometry, gc, sides
+                    )
+                    sep_a[ib] = separations.setdefault(ib, {})[ia] = outcome
+                if outcome != "separated":
+                    raise UnsupportedExcessIntersection(
+                        f"transforms of {a} and {b} at center {cid}: {outcome}"
+                    )
+                value = None
             if value != m:
                 if row_a is None:
                     row_a = edit_row(a)
@@ -436,16 +465,14 @@ def _elementary(arr: Arrangement, cid: str):
         with_touched = piece_touched[nid]
         for other in sorted(with_touched, key=position.__getitem__):
             nrow[other] = with_touched[other]
-        with_pieces = piece_pieces[nid]
-        for other in sorted(with_pieces):
-            nrow[other] = with_pieces[other]
+        nrow.update(sorted(piece_pieces[nid].items()))
         new_table[nid] = nrow
-        for other, value in nrow.items():
-            if other not in with_pieces:
-                row = edited.get(other)
-                if row is None:
-                    row = edit_row(other)
-                row[nid] = value
+        edit_row(sid)[nid] = nid
+        for other, value in with_touched.items():
+            row = edited.get(other)
+            if row is None:
+                row = edit_row(other)
+            row[nid] = value
 
     out = replace(
         arr,

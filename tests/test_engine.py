@@ -423,18 +423,18 @@ def test_empty_run():
 
 def test_separation_memo_is_per_run(monkeypatch):
     """Each run decides its separations afresh: a second identical run in
-    the same process makes as many clean-sum rank counts as the first."""
+    the same process decides as many separation outcomes as the first."""
     from realwonder import engine
     from realwonder.models import SpaceData, build_fm
 
     calls = []
-    original = engine.excess_dim
+    original = engine._separation_outcome
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(engine, "excess_dim", counted)
+    monkeypatch.setattr(engine, "_separation_outcome", counted)
     counts = []
     for _ in range(2):
         calls.clear()
