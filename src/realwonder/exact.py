@@ -146,13 +146,22 @@ class GaussianRational:
                 elif body == "-":
                     im = Fraction(-1)
                 else:
-                    im = Fraction(body)
+                    im = _fraction(body, text)
             else:
                 if seen_re:
                     raise ValueError(f"two real terms in {text!r}")
                 seen_re = True
-                re = Fraction(term)
+                re = _fraction(term, text)
         return GaussianRational(re, im)
+
+
+def _fraction(term: str, text: str) -> Fraction:
+    """Fraction(term) for a term of the literal text; a zero denominator
+    is a ValueError naming the literal, like any other bad literal."""
+    try:
+        return Fraction(term)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in GaussianRational {text!r}") from None
 
 
 def _coerce(value) -> GaussianRational:

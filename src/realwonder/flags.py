@@ -56,6 +56,8 @@ class FlagSet:
 
     @classmethod
     def from_dict(cls, d) -> "FlagSet":
+        if not isinstance(d, dict):
+            raise TypeError(f"flags must be a JSON object, got {d!r}")
         return cls(
             parse_tri(d.get("effective", UNKNOWN)),
             parse_tri(d.get("maximal", UNKNOWN)),

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 
 class BettiVector:
-    __slots__ = ("coeffs",)
+    """Immutable, so its hash (that of coeffs) is computed once, in
+    __init__: a run's payload memo hashes the same few vectors many
+    times."""
+
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         coeffs = tuple(int(c) for c in coeffs)
@@ -21,6 +25,7 @@ class BettiVector:
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_hash", hash(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("BettiVector is immutable")
@@ -53,7 +58,7 @@ class BettiVector:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return self._hash
 
     def __add__(self, other):
         return add(self, other)

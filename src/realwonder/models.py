@@ -95,6 +95,8 @@ class SpaceData:
 
     @classmethod
     def from_dict(cls, d) -> "SpaceData":
+        if not isinstance(d, dict):
+            raise InputError(f"bad space data: expected a JSON object, got {d!r}")
         try:
             return cls(
                 name=str(d.get("name", "space")),
