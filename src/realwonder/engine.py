@@ -24,11 +24,11 @@ strata and C of the center, so each center decides it once per pair of
 shadows.  Most pairs need no rank: once A∩B ⊆ C is checked, C ⊆ A
 gives (A+C)∩(B+C) = A∩(B+C) = (A∩B)+C = C by the modular law, so the
 transforms are separated (likewise for C ⊆ B); only the rest reach the
-rank count of excess_dim.  Exceptional pieces that coincide with full preimage fibers
-(transversal proper meets, dim A - dim M = d) are aliased to the fiber
-stratum so later InsideCenter classifications stay exact.  Pairs the
-rules cannot express are marked unresolved and abort the run only if
-actually consulted.
+rank count of excess_dim.  Exceptional pieces that coincide with full
+preimage fibers (transversal proper meets, dim A - dim M = d) are
+aliased to the fiber stratum so later InsideCenter classifications stay
+exact.  Pairs the rules cannot express are marked unresolved and abort
+the run only if actually consulted.
 """
 
 from __future__ import annotations
@@ -166,13 +166,6 @@ _UNSEEN = object()  # a stratum whose shadow is not looked up yet
 _SHADOW_INSIDE = "shadow inside the center shadow; outside the supported analysis"
 
 
-def _no_geometry(a: str, b: str, cid: str) -> UnsupportedExcessIntersection:
-    return UnsupportedExcessIntersection(
-        f"transforms {a} and {b} meet inside center {cid} and no "
-        "geometry is available to separate them"
-    )
-
-
 def _separation_outcome(ga, gb, gc, sides=None) -> str:
     """The separation verdict for shadows A = ga, B = gb at center shadow
     C = gc; sides is the caller's per-center dict of clean-sum sides.
@@ -181,10 +174,11 @@ def _separation_outcome(ga, gb, gc, sides=None) -> str:
     lies in C.  If C also lies in A (or in B), the modular law settles
     the pair without a rank: (A+C)∩(B+C) = A∩(B+C) = (A∩B)+C = C, so
     the excess is 0.  The test reads the side's meet A∧C, which
-    clean_sum_side already holds, and compares it with C by geom_key;
-    it holds for every geometry class, as all three are lattices of
-    linear subspaces.  Only the other pairs reach excess_dim, the rank
-    oracle."""
+    clean_sum_side already holds, and compares it with C by geom_key.
+    It holds for ProjSubspace, SetPartition and FramePartition alike,
+    as every shadow is a linear subspace (a polydiagonal is the span of
+    its block indicators).  Only the other pairs reach excess_dim, the
+    rank oracle."""
     if sides is None:
         sides = {}
     ac, a_inside = clean_sum_side(ga, gc, sides)[:2]
@@ -419,7 +413,10 @@ def _elementary(arr: Arrangement, cid: str):
                 outcome = sep_a.get(ib)
                 if outcome is None:
                     if ia is None or ib is None or gc is None:
-                        raise _no_geometry(a, b, cid)
+                        raise UnsupportedExcessIntersection(
+                            f"transforms {a} and {b} meet inside center {cid} "
+                            "and no geometry is available to separate them"
+                        )
                     outcome = _separation_outcome(
                         strata[ia].geometry, strata[ib].geometry, gc, sides
                     )

@@ -213,6 +213,28 @@ def test_unsupported_excess_raises_on_partitions():
         blow_up_step(arr)
 
 
+def test_separation_without_geometry_raises():
+    """The planes of test_unsupported_excess_raises with the geometry of
+    v dropped by hand: the transforms of u and v meet inside the center
+    and no shadow is left to decide whether they separate."""
+    pts = rnc_points(4, list(range(6)))
+    gens = [
+        ("b", span_points([pts[0], pts[5]])),
+        ("u", span_points([pts[0], pts[1], pts[2]])),
+        ("v", span_points([pts[0], pts[3], pts[4]])),
+    ]
+    arr = _manual_linear_arrangement(4, gens)
+    strata = dict(arr.strata)
+    strata["v"] = replace(strata["v"], geometry=None)
+    arr = replace(arr, strata=strata, building_set=("b",), events=(("b",),))
+    with pytest.raises(
+        UnsupportedExcessIntersection,
+        match=r"^transforms u and v meet inside center b and no geometry is "
+        r"available to separate them$",
+    ):
+        blow_up_step(arr)
+
+
 def _manual_linear_arrangement(ambient_dim, gens):
     from realwonder.arrangement import Stratum, close_under_intersection
     from realwonder.flags import CONJUGATION_SPACE

@@ -13,6 +13,20 @@ def test_trim_and_equality():
     assert gp.ZERO.top == -1  # the empty space, distinct from the point
 
 
+
+def test_hash_is_that_of_the_coefficients():
+    """The hash is computed once and equals that of the trimmed
+    coefficient tuple, so equal vectors hash alike however built."""
+    rng = random.Random(3)
+    for _ in range(200):
+        coeffs = [rng.randint(0, 3) for _ in range(rng.randint(0, 6))]
+        v = BettiVector(coeffs)
+        assert hash(v) == hash(v.coeffs)
+        for other in (BettiVector(tuple(coeffs)), BettiVector(coeffs + [0, 0])):
+            assert other == v and hash(other) == hash(v)
+    assert hash(gp.ZERO) == hash(()) == hash(BettiVector([0, 0]))
+    assert hash(gp.add([1, 1], [0, 1])) == hash(BettiVector((1, 2)))
+
 def test_negative_rejected():
     with pytest.raises(ValueError):
         BettiVector([1, -1])

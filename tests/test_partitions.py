@@ -349,3 +349,106 @@ def test_excess_dim_every_triple():
                     assert excess_dim(a, b, c, sides=sides) == expected
         a, b, c = pool[1], pool[-1], pool[len(pool) // 2]
         assert three_rank_excess(a, b, c) == rank(a, c) + rank(b, c) - rank(a, b, c) - rank(c)
+
+
+SHADOW_INSIDE = "shadow inside the center shadow; outside the supported analysis"
+SHARED = "shared directions outside the center; transforms still meet"
+
+
+def rank_only_outcome(ga, gb, gc, rank, meet) -> str:
+    """The separation verdict by ranks alone, with no modular-law
+    shortcut: g lies in gc exactly when rank(g + gc) = rank(gc)."""
+    rc = rank(gc)
+    if rank(ga, gc) == rc or rank(gb, gc) == rc:
+        return SHADOW_INSIDE
+    mm = meet(ga, gb)
+    if mm is not None and rank(mm, gc) != rc:
+        return SHARED
+    excess = rank(ga, gc) + rank(gb, gc) - rank(ga, gb, gc) - rc
+    if excess:
+        return f"transforms still meet after the blow-up (excess cone dim {excess})"
+    return "separated"
+
+
+def _memo(fn):
+    values = {}
+
+    def memoized(*args):
+        if args not in values:
+            values[args] = fn(*args)
+        return values[args]
+
+    return memoized
+
+
+def _check_separation_triples(pool, rank, meet, centers) -> int:
+    """On every triple of shadows A, B in pool and center C in centers:
+    the modular law (A∩B ⊆ C and C ⊆ A or C ⊆ B give excess_dim 0), and
+    _separation_outcome equal to the rank-only verdict and symmetric in
+    (A, B), with each center's sides shared across its triples as in a
+    blow-up.  Returns how many triples the modular law covers."""
+    rank, meet = _memo(rank), _memo(meet)
+    settled = 0
+    for c in centers:
+        sides = {}
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                expected = rank_only_outcome(a, b, c, rank, meet)
+                assert _separation_outcome(a, b, c, sides) == expected, (a, b, c)
+                assert _separation_outcome(b, a, c, sides) == expected, (a, b, c)
+                mm = meet(a, b)
+                shared_in_c = mm is None or rank(mm, c) == rank(c)
+                if shared_in_c and (rank(a, c) == rank(a) or rank(b, c) == rank(b)):
+                    settled += 1
+                    assert excess_dim(a, b, c) == excess_dim(b, a, c) == 0, (a, b, c)
+    return settled
+
+
+def test_separation_modular_law_every_partition_triple():
+    # every triple of partitions of [4] and of frame partitions with
+    # m = 5, each rank by int_rank of the distinct indicator rows
+    sigma = FramePartition.point_sigma(range(1, 6))
+    frames = [_frame(p, sigma) for p in all_partitions(5) if p.num_blocks > 1]
+    for pool in (list(all_partitions(4)), frames):
+        rows = _memo(lambda g: frozenset(g.indicator_rows()))
+        rank_of_rows = _memo(lambda key: int_rank(sorted(key)))
+        rank = lambda *gs: rank_of_rows(frozenset().union(*map(rows, gs)))
+        meet = lambda g, h: g.join(h)
+        assert _check_separation_triples(pool, rank, meet, pool) > 0
+
+
+def test_separation_modular_law_subspace_triples():
+    # seeded spans of points of the rational normal curve in P^4 against
+    # a dozen of them as centers, with ranks by linear algebra
+    from realwonder.subspaces import linear_rank, rnc_points, span_points
+
+    rng = random.Random(12)
+    pts = rnc_points(4, list(range(7)))
+    pool = {span_points(rng.sample(pts, rng.randint(1, 4))) for _ in range(30)}
+    pool = sorted(pool, key=lambda g: g.key())
+
+    def meet(g, h):
+        m = intersect(g, h)
+        return None if m.is_empty else m
+
+    assert _check_separation_triples(pool, linear_rank, meet, pool[:12]) > 0
+
+
+def test_modular_law_settles_without_ranks(monkeypatch):
+    """A pair one of whose shadows contains the center's is separated
+    with no rank count, in either order: the diagonals 12 and 134 of X^4
+    at the center 123, and a line through a point and a line missing
+    both, at the point."""
+    from realwonder import engine
+    from realwonder.subspaces import rnc_points, span_points
+
+    def no_ranks(*args):
+        raise AssertionError("excess_dim called")
+
+    monkeypatch.setattr(engine, "excess_dim", no_ranks)
+    u, v = SetPartition(4, [[1, 2]]), SetPartition(4, [[1, 3, 4]])
+    c = SetPartition(4, [[1, 2, 3]])
+    p, q, r, s = rnc_points(3, [0, 1, 2, 3])
+    for ga, gb, gc in ((u, v, c), (span_points([p, q]), span_points([r, s]), p)):
+        assert _separation_outcome(ga, gb, gc) == "separated"
+        assert _separation_outcome(gb, ga, gc) == "separated"

@@ -383,6 +383,42 @@ def test_cli_dcp_malformed_generators(tmp_path, capsys, name, payload):
     assert "input error:" in capsys.readouterr().err
 
 
+_P1 = {"name": "P1", "dim_c": 1, "betti_c": [1, 0, 1], "betti_r": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ([1], "bad space data: expected a JSON object, got [1]"),
+        ({**_P1, "flags": None}, "bad space data: flags must be a JSON object, got None"),
+        ({**_P1, "flags": 1.5}, "bad space data: flags must be a JSON object, got 1.5"),
+        ({**_P1, "flags": "x"}, "bad space data: flags must be a JSON object, got 'x'"),
+        ({**_P1, "flags": []}, "bad space data: flags must be a JSON object, got []"),
+    ],
+    ids=["top-level-list", "flags-null", "flags-float", "flags-string", "flags-list"],
+)
+def test_cli_config_space_not_object(tmp_path, capsys, space, message):
+    """A space file whose top level or flags is not a JSON object is an
+    input error, not a crash."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert cli.main(["config", "--model", "fm", "--n", "3", "--space", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("literal", ["1/0", "1/0*i"])
+def test_cli_dcp_zero_denominator(tmp_path, capsys, literal):
+    """A Gaussian-rational literal with a zero denominator is an input
+    error naming the literal."""
+    spec = {"ambient_dim": 3, "generators": [{"name": "g", "rnc_span": ["0", literal]}]}
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["dcp", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: generator g: zero denominator in GaussianRational {literal!r}\n"
+    )
+
+
 def test_cli_hilb2_file_not_object(tmp_path, capsys):
     path = tmp_path / "smith.json"
     path.write_text(json.dumps([1, 2, 3]))
