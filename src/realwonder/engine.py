@@ -403,9 +403,7 @@ def _elementary(arr: Arrangement, cid: str):
                 # both ContainsCenter / ProperMeet, meeting inside the
                 # center: the transforms must be separated
                 if sep_a is None:
-                    ia = shadows.get(a, _UNSEEN)
-                    if ia is _UNSEEN:
-                        ia = shadows[a] = _shadow_id(arr, a)
+                    ia = _shadow_id(arr, a)
                     sep_a = separations.setdefault(ia, {})
                 ib = shadows.get(b, _UNSEEN)
                 if ib is _UNSEEN:
