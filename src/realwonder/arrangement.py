@@ -126,15 +126,6 @@ class PayloadMemo:
         return [f"{s.sid}: {p}" for p in found]
 
 
-def table_pairs(table):
-    """Iterate (a, b, value) over the unordered nonempty pairs of an
-    adjacency-style table."""
-    for a, row in table.items():
-        for b, v in row.items():
-            if a < b:
-                yield a, b, v
-
-
 @dataclass(frozen=True)
 class Arrangement:
     ambient: Stratum
@@ -491,36 +482,3 @@ def order_building_set(arr: Arrangement, validate_prefixes: bool = False) -> Arr
                 )
     return out
 
-
-def check_g_invariance(arr: Arrangement) -> list[str]:
-    """Confirm recorded real statuses against the geometry and the
-    equivariance of the intersection table."""
-    problems = []
-    conj_id = {}
-    for sid, s in arr.strata.items():
-        if s.geometry is None:
-            conj_id[sid] = sid if s.partner is None else s.partner
-            continue
-        ck = geom_key(geom_conj(s.geometry))
-        match = None
-        for tid, t in arr.strata.items():
-            if t.geometry is not None and geom_key(t.geometry) == ck:
-                match = tid
-                break
-        if match is None:
-            problems.append(f"{sid}: conjugate geometry not in arrangement")
-            continue
-        conj_id[sid] = match
-        expected = None if match == sid else match
-        if s.partner != expected:
-            problems.append(
-                f"{sid}: recorded status {s.real_status!r} does not match "
-                f"geometry (conjugate is {match})"
-            )
-    for a, b, m in table_pairs(arr.table):
-        if m is UNRESOLVED or a not in conj_id or b not in conj_id:
-            continue
-        cm = arr.raw_meet(conj_id[a], conj_id[b])
-        if cm is not UNRESOLVED and m in conj_id and cm != conj_id[m]:
-            problems.append(f"table not equivariant at ({a}, {b})")
-    return problems

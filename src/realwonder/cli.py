@@ -42,6 +42,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# Largest dcp ambient_dim: a rational-normal-curve point of P^N has N+1
+# coordinates whose powers grow with N, and the models in use live in
+# P^3 to P^5, so a larger N is a typo that would run without end.
+MAX_AMBIENT_DIM = 64
+
 
 def _load_json(path: str):
     try:
@@ -59,6 +64,10 @@ def _parse_generators(data) -> tuple:
         raw = list(data["generators"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad dcp schema: {exc}") from exc
+    if ambient_dim > MAX_AMBIENT_DIM:
+        raise InputError(
+            f"ambient_dim {ambient_dim} is above the largest supported, {MAX_AMBIENT_DIM}"
+        )
     generators = []
     for i, g in enumerate(raw):
         if not isinstance(g, dict):
@@ -112,33 +121,30 @@ def _apply_seed_flags(arr, path: str):
     return replace(arr, ambient=ambient, strata=strata, flag_axioms=tuple(axioms))
 
 
-def _emit(report: dict, args) -> None:
+def _run(arr, model: dict, args) -> int:
+    """The tail shared by the model commands: apply --seed-flags, run
+    the blow-ups, print the table and write the --machine report."""
+    if args.seed_flags:
+        arr = _apply_seed_flags(arr, args.seed_flags)
+    report = build_report(model, wonderful_run(arr))
     sys.stdout.write(render_text(report, trace=args.trace))
     if args.machine:
         with open(args.machine, "w", encoding="utf-8") as handle:
             handle.write(to_json(report))
+    return EXIT_OK
 
 
 def cmd_dcp(args) -> int:
     ambient_dim, generators = _parse_generators(_load_json(args.file))
     arr = build_dcp(ambient_dim, generators, validate_prefixes=args.validate_prefixes)
-    if args.seed_flags:
-        arr = _apply_seed_flags(arr, args.seed_flags)
-    result = wonderful_run(arr)
     model = {"kind": "dcp", "file": args.file, "ambient_dim": ambient_dim}
-    _emit(build_report(model, result), args)
-    return EXIT_OK
+    return _run(arr, model, args)
 
 
 def cmd_moduli(args) -> int:
     spec = parse_sigma(args.sigma, args.n)
     arr = build_moduli(spec, validate_prefixes=args.validate_prefixes)
-    if args.seed_flags:
-        arr = _apply_seed_flags(arr, args.seed_flags)
-    result = wonderful_run(arr)
-    model = {"kind": "moduli", "n": args.n, "sigma": args.sigma}
-    _emit(build_report(model, result), args)
-    return EXIT_OK
+    return _run(arr, {"kind": "moduli", "n": args.n, "sigma": args.sigma}, args)
 
 
 def cmd_config(args) -> int:
@@ -154,17 +160,8 @@ def cmd_config(args) -> int:
         arr = build_kt(args.n, space, building, validate_prefixes=args.validate_prefixes)
     else:
         raise InputError(f"unknown configuration model {args.model!r}")
-    if args.seed_flags:
-        arr = _apply_seed_flags(arr, args.seed_flags)
-    result = wonderful_run(arr)
-    model = {
-        "kind": "config",
-        "model": args.model,
-        "n": args.n,
-        "space": space.to_dict(),
-    }
-    _emit(build_report(model, result), args)
-    return EXIT_OK
+    model = {"kind": "config", "model": args.model, "n": args.n, "space": space.to_dict()}
+    return _run(arr, model, args)
 
 
 def _report_final(report: dict, path: str) -> dict:
@@ -192,10 +189,6 @@ def cmd_hilb2(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot read {args.report}: {exc}") from exc
         final = _report_final(report, args.report)
-        if final["verdict"] != "ConjugationSpace":
-            raise InputError(
-                "only ConjugationSpace reports determine Smith data automatically"
-            )
         data = smith_data(
             report["ambient_dim"], final["total_c"], final["total_r"], final["verdict"]
         )
@@ -206,6 +199,8 @@ def cmd_hilb2(args) -> int:
             raise InputError(f"{args.file}: Smith data must be a JSON object")
         data = SmithData.from_dict(payload.get("smith", payload))
         attest = payload.get("attest", {})
+        if not isinstance(attest, dict):
+            raise InputError(f"{args.file}: 'attest' must be a JSON object, got {attest!r}")
 
     problems = consistency(data, effective_gm=bool(attest.get("effective_gm")))
     if problems:

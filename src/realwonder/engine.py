@@ -78,14 +78,6 @@ def _case_of_meet(sid: str, cid: str, m) -> str:
     return PROPER
 
 
-def classify_case(arr: Arrangement, sid: str, cid: str) -> str:
-    """Position of stratum sid relative to the blow-up center cid,
-    using the current intersection table."""
-    if sid == cid:
-        return CENTER
-    return _case_of_meet(sid, cid, arr.meet(sid, cid))
-
-
 @dataclass(frozen=True)
 class StepTrace:
     """Per-event record; all reported numbers are recomputable from it:
@@ -499,16 +491,12 @@ def _with_flags(s: Stratum, flags) -> Stratum:
     )
 
 
-def blow_up_step(arr: Arrangement, event=None):
+def blow_up_step(arr: Arrangement):
     """Execute the first remaining building event (one invariant center
     or a conjugate pair of centers) and return (arrangement', trace)."""
     if not arr.events:
         raise EngineError("no building events remain")
-    if event is None:
-        event = arr.events[0]
-    if tuple(event) != tuple(arr.events[0]):
-        raise EngineError(f"event {event} is not the first remaining event")
-    event = tuple(event)
+    event = tuple(arr.events[0])
 
     strata = arr.strata
     centers = [strata[cid] for cid in event]

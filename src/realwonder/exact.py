@@ -83,10 +83,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return not self.is_zero
 
@@ -172,11 +168,4 @@ def _coerce(value) -> GaussianRational:
     raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
-def gq(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor."""
-    return GaussianRational(re, im)

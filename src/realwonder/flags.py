@@ -66,7 +66,6 @@ class FlagSet:
 
 
 CONJUGATION_SPACE = FlagSet(YES, YES, YES)
-ALL_UNKNOWN = FlagSet()
 
 
 def pair_event_flags() -> FlagSet:
@@ -146,16 +145,6 @@ def product_flags(factors) -> FlagSet:
         conj([f.maximal for f in factors], no_propagates=True),
         conj([f.galois_maximal for f in factors], no_propagates=False),
     )
-
-
-VERDICTS = (
-    "ConjugationSpace",
-    "EffectiveGaloisMaximal",
-    "Maximal",
-    "Effective",
-    "GaloisMaximal",
-    "Indeterminate",
-)
 
 
 def verdict(flags: FlagSet, betti_c) -> str:

@@ -14,10 +14,13 @@ from . import gradedpoly as gp
 from .arrangement import (
     AMBIENT_ID,
     Arrangement,
+    NO_REAL,
+    REAL,
     Stratum,
     building_violations,
     close_under_intersection,
     order_building_set,
+    payload_problems,
     validate_building_set,
 )
 from .errors import InputError
@@ -56,16 +59,12 @@ class SpaceData:
     flags: FlagSet = field(default_factory=FlagSet)
 
     def __post_init__(self):
+        problems = payload_problems(
+            self.dim_c, self.betti_c, self.betti_r, REAL if self.real_nonempty else NO_REAL
+        )
+        if problems:
+            raise InputError(f"{self.name}: " + "; ".join(problems))
         tc, tr = gp.total(self.betti_c), gp.total(self.betti_r)
-        if tr > tc or (tc - tr) % 2:
-            raise InputError(f"{self.name}: Smith inequality or parity violated")
-        if not gp.is_palindromic(self.betti_c, 2 * self.dim_c):
-            raise InputError(f"{self.name}: complex Betti numbers not palindromic")
-        if self.real_nonempty:
-            if not gp.is_palindromic(self.betti_r, self.dim_c):
-                raise InputError(f"{self.name}: real Betti numbers not palindromic")
-        elif not self.betti_r.is_zero:
-            raise InputError(f"{self.name}: empty real locus with nonzero real Betti")
         if self.flags.maximal is YES and tc != tr:
             raise InputError(f"{self.name}: declared maximal with deficiency {tc - tr}")
         if self.flags.maximal is Tri.NO and tc == tr:

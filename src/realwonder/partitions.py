@@ -86,10 +86,6 @@ class SetPartition:
         raise AttributeError("SetPartition is immutable")
 
     @classmethod
-    def discrete(cls, n: int) -> "SetPartition":
-        return cls(n, [])
-
-    @classmethod
     def merged(cls, n: int, subset) -> "SetPartition":
         """The diagonal partition with the given subset as one block."""
         return cls(n, [tuple(subset)])
@@ -133,12 +129,6 @@ class SetPartition:
         if self.n != other.n:
             raise ValueError("mixed partition sizes")
         return SetPartition._from_masks(self.n, _merge_masks(self.masks, other.masks))
-
-    def refines(self, other: "SetPartition") -> bool:
-        """True when every block of self sits inside a block of other."""
-        if self.n != other.n:
-            raise ValueError("mixed partition sizes")
-        return all(any(not a & ~b for b in other.masks) for a in self.masks)
 
     def indicator_rows(self, projective: bool = False):
         """Integer rows spanning the (cone over the) polydiagonal: one

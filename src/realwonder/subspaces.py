@@ -366,10 +366,6 @@ class ProjSubspace:
             object.__setattr__(sub, "_int_basis", (re, _conj_rows(im)))
         return sub
 
-    @property
-    def is_real(self) -> bool:
-        return self.im_rows is None
-
 
 # ----------------------------------------------------------------------
 # operations
@@ -390,11 +386,6 @@ def span_points(points) -> ProjSubspace:
     return ProjSubspace._from_int_basis(
         n, *_stack([p.int_basis() for p in points], n + 1)
     )
-
-
-def span_sum(u: ProjSubspace, v: ProjSubspace) -> ProjSubspace:
-    n = _common_ambient(u, v)
-    return ProjSubspace._from_int_basis(n, *_stack([u.int_basis(), v.int_basis()], n + 1))
 
 
 def intersect(u: ProjSubspace, v: ProjSubspace) -> ProjSubspace:

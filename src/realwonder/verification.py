@@ -249,9 +249,17 @@ def check_sigma_independence(nmax: int = 7, per_type: int = 2):
     return True, f"complex output identical across sigma for n <= {nmax}"
 
 
-def check_step_identities(count: int = 100, nmax: int = 6):
-    """Criterion 7: ledger and Euler identities after every step of
-    every corpus run, re-derived from the traces."""
+def check_corpus(count: int = 100, nmax: int = 6):
+    """Criteria 7 and 12 over one pass of the corpus.
+
+    7: ledger and Euler identities after every step of every run,
+    re-derived from the traces.
+    12: Smith inequality, parity and duality for every ambient and
+    stratum after every step.  The engine asserts these after each step
+    for the ambient and every stratum the step changed, and for all
+    strata at the end of a run, and aborts on violation, so completion
+    of the whole corpus is the check; the final arrangements are
+    re-validated here."""
     runs = 0
     steps = 0
     for desc, result in corpus_runs(count=count, nmax=nmax):
@@ -259,9 +267,15 @@ def check_step_identities(count: int = 100, nmax: int = 6):
         for name, ok in report["checks"]:
             if not ok:
                 return False, f"{desc}: {name} failed"
+        problems = result.arrangement.validate_strata()
+        if problems:
+            return False, f"{desc}: {problems[0]}"
         runs += 1
         steps += len(result.traces)
-    return True, f"{runs} runs, {steps} steps, all identities exact"
+    return True, (
+        f"{runs} runs, {steps} steps, all identities exact, "
+        "per-step property checks on"
+    )
 
 
 def check_dcp_conjugation(count: int = 25, seed: int = 7):
@@ -582,22 +596,6 @@ def check_hilbert_squares(samples: int = 1000, seed: int = 11):
     return True, f"{samples} random Smith data, formulas agree; P1 case 0"
 
 
-def check_global_properties(count: int = 100, nmax: int = 6):
-    """Criterion 12: Smith inequality, parity and duality for every
-    ambient and stratum after every step.  The engine asserts these
-    after each step for the ambient and every stratum the step changed,
-    and for all strata at the end of a run, and aborts on violation, so
-    completion of the whole corpus is the check; the final arrangements
-    are re-validated here."""
-    runs = 0
-    for desc, result in corpus_runs(count=count, nmax=nmax):
-        problems = result.arrangement.validate_strata()
-        if problems:
-            return False, f"{desc}: {problems[0]}"
-        runs += 1
-    return True, f"{runs} runs completed with per-step property checks on"
-
-
 SUITES = ("core", "full")
 
 # (name, check, core kwargs, full kwargs)
@@ -610,8 +608,7 @@ CHECKS = [
     ("moduli-keel", check_moduli_keel, {"nmax": 7}, {"nmax": 8}),
     ("sigma-independence", check_sigma_independence,
      {"nmax": 6, "per_type": 1}, {"nmax": 7}),
-    ("step-identities", check_step_identities,
-     {"count": 20, "nmax": 5}, {"count": 100, "nmax": 6}),
+    ("corpus", check_corpus, {"count": 20, "nmax": 5}, {"count": 100, "nmax": 6}),
     ("dcp-conjugation-spaces", check_dcp_conjugation, {"count": 8}, {"count": 25}),
     ("config-models", check_config_models, {}, {}),
     ("braid-oracle", check_braid_oracle, {"nmax": 5}, {"nmax": 6}),
@@ -619,8 +616,6 @@ CHECKS = [
     ("moduli-fixed-point", check_moduli_fixed_point, {"nmax": 6}, {"nmax": 7}),
     ("fm-nested-set", check_fm_nested_set, {"nmax": 5}, {"nmax": 6}),
     ("hilbert-squares", check_hilbert_squares, {"samples": 200}, {"samples": 1000}),
-    ("global-properties", check_global_properties,
-     {"count": 20, "nmax": 5}, {"count": 100, "nmax": 6}),
 ]
 
 

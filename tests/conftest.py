@@ -1,0 +1,24 @@
+"""Helpers shared by several test modules (imported as ``conftest``)."""
+
+from realwonder.exact import GaussianRational as gq
+from realwonder.models import build_dcp
+from realwonder.subspaces import ProjSubspace, rnc_points, span_points
+
+
+def fixed_dcp():
+    """Two real lines through a real point and a conjugate pair of
+    points on a real line of P^3."""
+    p0, p1, p2, z, zbar = rnc_points(3, [gq(0), gq(1), gq(2), gq(0, 1), gq(0, -1)])
+    generators = [
+        ("l01", span_points([p0, p1])),
+        ("l02", span_points([p0, p2])),
+        ("z", z),
+        ("zbar", zbar),
+        ("lz", span_points([z, zbar])),
+    ]
+    return build_dcp(3, generators)
+
+
+def span_sum(u: ProjSubspace, v: ProjSubspace) -> ProjSubspace:
+    """The span of two subspaces, from their basis rows."""
+    return ProjSubspace.from_basis_rows(u.ambient_dim, u.basis + v.basis)

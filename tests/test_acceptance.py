@@ -5,6 +5,8 @@ test prints a single pass line; `realwonder verify --suite full` runs
 the same battery from the command line.
 """
 
+import pytest
+
 from realwonder import verification as vf
 
 
@@ -43,8 +45,14 @@ def test_criterion_06_sigma_independence():
     _announce(6, "complex output independent of sigma (n<=7)", ok, detail)
 
 
-def test_criterion_07_step_identities():
-    ok, detail = vf.check_step_identities(count=100, nmax=6)
+@pytest.fixture(scope="module")
+def corpus():
+    """Criteria 7 and 12 read one pass of the corpus."""
+    return vf.check_corpus(count=100, nmax=6)
+
+
+def test_criterion_07_step_identities(corpus):
+    ok, detail = corpus
     _announce(7, "ledger and Euler identities every step", ok, detail)
 
 
@@ -68,8 +76,8 @@ def test_criterion_11_hilbert_squares():
     _announce(11, "Hilbert square formulas", ok, detail)
 
 
-def test_criterion_12_global_properties():
-    ok, detail = vf.check_global_properties(count=100, nmax=6)
+def test_criterion_12_global_properties(corpus):
+    ok, detail = corpus
     _announce(12, "Smith/parity/duality for all strata every step", ok, detail)
 
 

@@ -7,7 +7,6 @@ from realwonder import gradedpoly as gp
 from realwonder.arrangement import (
     AMBIENT_ID,
     Stratum,
-    check_g_invariance,
     close_under_intersection,
     order_building_set,
     validate_building_set,
@@ -59,7 +58,7 @@ def test_closure_diagonals_cube():
 
 
 def test_closure_rejects_missing_conjugate():
-    from realwonder.exact import gq
+    from realwonder.exact import GaussianRational as gq
 
     imag = rnc_points(2, [gq(0, 1)])[0]
     with pytest.raises(InputError):
@@ -98,7 +97,7 @@ def test_order_building_set_nested():
 
 
 def test_order_groups_conjugate_pairs():
-    from realwonder.exact import gq
+    from realwonder.exact import GaussianRational as gq
 
     pts = rnc_points(2, [gq(0), gq(0, 1), gq(0, -1)])
     arr = close_linear(2, [("a", pts[0]), ("b", pts[1]), ("c", pts[2])])
@@ -106,29 +105,6 @@ def test_order_groups_conjugate_pairs():
     ordered = order_building_set(arr)
     assert ordered.events == (("a",), ("b", "c"))
     assert arr.strata["b"].partner == "c"
-
-
-def test_g_invariance_examples():
-    pts = rnc_points(2, [0, 1])
-    arr = close_linear(2, [("a", pts[0]), ("b", pts[1])])
-    assert check_g_invariance(arr) == []
-
-    from realwonder.exact import gq
-
-    pair = rnc_points(2, [gq(0, 1), gq(0, -1)])
-    arr = close_linear(2, [("p", pair[0]), ("q", pair[1])])
-    assert check_g_invariance(arr) == []
-    # record the imaginary point as invariant-with-real-locus: mismatch
-    bad = Stratum(
-        sid="p",
-        dim_c=0,
-        betti_c=gp.BettiVector([1]),
-        betti_r=gp.BettiVector([1]),
-        geometry=pair[0],
-    )
-    arr.strata["p"] = bad
-    problems = check_g_invariance(arr)
-    assert problems and "does not match" in problems[0]
 
 
 def test_meet_associativity_against_geometry():

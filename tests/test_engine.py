@@ -10,8 +10,8 @@ from realwonder.engine import (
     DISJOINT,
     INSIDE,
     PROPER,
+    _case_of_meet,
     blow_up_step,
-    classify_case,
     wonderful_run,
 )
 from realwonder.errors import (
@@ -19,10 +19,21 @@ from realwonder.errors import (
     InternalCheckError,
     UnsupportedExcessIntersection,
 )
-from realwonder.exact import gq
+from realwonder.exact import GaussianRational as gq
 from realwonder.models import SpaceData, build_dcp, build_fm, build_moduli, parse_sigma
 from realwonder.report import build_report, to_v1
 from realwonder.subspaces import rnc_points, span_points
+
+from conftest import fixed_dcp
+
+
+def classify_case(arr, sid, cid):
+    """Position of stratum sid relative to the blow-up center cid, read
+    from the full intersection table: the dense reference for the
+    sparse classification of a step."""
+    if sid == cid:
+        return CENTER
+    return _case_of_meet(sid, cid, arr.meet(sid, cid))
 
 
 def dcp(ambient_dim, named_subsets, params=None, **kwargs):
@@ -285,13 +296,6 @@ def test_touching_pair_guard_nontransversal():
         blow_up_step(arr)
 
 
-def test_event_order_enforced():
-    arr = dcp(3, [("pt", [0]), ("line", [1, 2])])
-    assert arr.events == (("pt",), ("line",))
-    with pytest.raises(EngineError):
-        blow_up_step(arr, event=("line",))
-
-
 def test_minimality_enforced():
     arr = dcp(3, [("pt", [0]), ("line", [0, 1])])
     broken = type(arr)(
@@ -331,26 +335,12 @@ def test_trace_contents():
     assert trace.betti_c_after == [1, 0, 2, 0, 1]
 
 
-def _fixed_dcp():
-    """Two real lines through a real point and a conjugate pair of
-    points on a real line of P^3."""
-    p0, p1, p2, z, zbar = rnc_points(3, [gq(0), gq(1), gq(2), gq(0, 1), gq(0, -1)])
-    generators = [
-        ("l01", span_points([p0, p1])),
-        ("l02", span_points([p0, p2])),
-        ("z", z),
-        ("zbar", zbar),
-        ("lz", span_points([z, zbar])),
-    ]
-    return build_dcp(3, generators)
-
-
 @pytest.mark.parametrize(
     "build, has_pairs",
     [
         (lambda: build_moduli(parse_sigma("(1 2)", 6)), True),
         (lambda: build_fm(4, SpaceData.projective_space(1)), False),
-        (_fixed_dcp, True),
+        (fixed_dcp, True),
     ],
     ids=["moduli-n6-(1 2)", "fm-n4-P1", "dcp-fixed"],
 )
@@ -411,7 +401,7 @@ def _record_footprint(before, after, trace):
     [
         (lambda: build_moduli(parse_sigma("(1 2)", 6)), False),
         (lambda: build_fm(4, SpaceData.projective_space(1)), False),
-        (_fixed_dcp, False),
+        (fixed_dcp, False),
         (lambda: _touching_dcp(4, [0], [(1, 1), (2, 1)]), True),
         (lambda: _touching_dcp(5, [0, 1], [(1, 1), (3, 2)]), True),
     ],
@@ -540,9 +530,9 @@ def _corrupt_at_step(monkeypatch, arr, k, pick, corrupt):
     picked = []
     step, elementary, check = engine.blow_up_step, engine._elementary, engine._check_step
 
-    def counting_step(a, event=None):
+    def counting_step(a):
         steps.append(a.events[0])
-        return step(a, event)
+        return step(a)
 
     def corrupting(a, cid):
         out, cls, created = elementary(a, cid)
@@ -638,7 +628,7 @@ def _table_models():
         ("fm n=4 P1", lambda: build_fm(4, p1)),
         ("ulyanov n=4 P1", lambda: build_ulyanov(4, p1)),
         ("kt n=3 P1 chain", lambda: build_kt(3, p1, [[[1, 2, 3]]])),
-        ("dcp-fixed", _fixed_dcp),
+        ("dcp-fixed", fixed_dcp),
     ]
     for i in range(10):
         dim = 3 if i % 2 == 0 else 4

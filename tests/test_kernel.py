@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from realwonder.exact import GaussianRational
-from realwonder.subspaces import ProjSubspace, intersect, span_sum
+from realwonder.subspaces import ProjSubspace, intersect
+
+from conftest import span_sum
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -104,7 +106,7 @@ def test_constraints_view_is_the_oracle_rref(seed):
         expected = oracle_rref(rows, n + 1)
         assert as_pairs(sub.constraints) == expected
         assert sub.proj_dim == n - len(expected)
-        assert sub.is_real == all(im == 0 for row in expected for _, im in row)
+        assert (sub.im_rows is None) == all(im == 0 for row in expected for _, im in row)
 
 
 @pytest.mark.parametrize("seed", [3, 4])

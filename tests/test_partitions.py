@@ -67,7 +67,7 @@ def test_canonicalization():
     p = SetPartition(4, [[2, 1], [4]])
     assert p.blocks == ((1, 2), (3,), (4,))
     assert p.label() == "12"
-    assert SetPartition.discrete(3).is_discrete
+    assert SetPartition(3, []).is_discrete
     assert SetPartition(3, [[1, 2, 3]]).label() == "123"
     with pytest.raises(ValueError):
         SetPartition(3, [[1, 2], [2, 3]])
@@ -81,19 +81,6 @@ def test_join_examples():
     assert a.join(b) == SetPartition(4, [[1, 2, 3]])
     c = SetPartition(4, [[3, 4]])
     assert a.join(c) == SetPartition(4, [[1, 2], [3, 4]])
-
-
-def test_refines():
-    fine = SetPartition(4, [[1, 2]])
-    coarse = SetPartition(4, [[1, 2, 3]])
-    assert fine.refines(coarse)
-    assert coarse.refines(fine) is False
-    assert SetPartition.discrete(4).refines(fine)
-    assert fine.refines(fine)
-    assert fine.refines(SetPartition(4, [[1, 2], [3, 4]]))
-    a = SetPartition(4, [[1, 2], [3, 4]])
-    b = SetPartition(4, [[1, 3], [2, 4]])
-    assert not a.refines(b) and not b.refines(a)
 
 
 def test_join_against_rank_oracle():
@@ -254,7 +241,6 @@ def test_set_partition_join_and_refines_against_union_find():
             assert hash(joined) == hash(union_find_join(a, b))
             assert joined.blocks == union_find_join(a, b).blocks
             assert joined.label() == union_find_join(a, b).label()
-            assert a.refines(b) == (union_find_join(a, b) == b)
 
 
 def test_pair_rank_from_join():

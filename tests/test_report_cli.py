@@ -355,6 +355,30 @@ def test_cli_hilb2_from_report(tmp_path, capsys):
     )
     capsys.readouterr()
     assert cli.main(["hilb2", "--report", str(report)]) == 2
+    assert "got verdict EffectiveGaloisMaximal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("attest", [5, [], None], ids=["int", "list", "null"])
+def test_cli_hilb2_attest_not_object(tmp_path, capsys, attest):
+    path = tmp_path / "smith.json"
+    smith = {"n": 2, "beta_total": 4, "beta_fixed": 2}
+    path.write_text(json.dumps({"smith": smith, "attest": attest}))
+    assert cli.main(["hilb2", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "'attest' must be a JSON object" in err
+
+
+def test_cli_dcp_ambient_dim_bound(tmp_path, capsys):
+    """An ambient_dim above the bound is refused before any point is
+    built; a typo such as 1000000 would otherwise run without end."""
+    path = tmp_path / "big.json"
+    spec = {
+        "ambient_dim": cli.MAX_AMBIENT_DIM + 1,
+        "generators": [{"name": "p", "rnc_span": ["1"]}],
+    }
+    path.write_text(json.dumps(spec))
+    assert cli.main(["dcp", str(path)]) == 2
+    assert str(cli.MAX_AMBIENT_DIM) in capsys.readouterr().err
 
 
 def test_cli_input_error_exit_codes(tmp_path):
@@ -439,7 +463,7 @@ def test_cli_verify_core_smoke(capsys):
     assert cli.main(["verify", "--suite", "core"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
-    assert out.count("[pass]") == 16
+    assert out.count("[pass]") == 15
 
 
 def test_cli_verify_prints_check_times(capsys, monkeypatch):

@@ -12,11 +12,9 @@ import hashlib
 import pytest
 
 from realwonder.engine import wonderful_run
-from realwonder.exact import gq
 from realwonder.models import (
     SpaceData,
     build_braid,
-    build_dcp,
     build_fm,
     build_kt,
     build_moduli,
@@ -24,23 +22,10 @@ from realwonder.models import (
     parse_sigma,
 )
 from realwonder.report import build_report, to_json, to_v1
-from realwonder.subspaces import rnc_points, span_points
+
+from conftest import fixed_dcp
 
 P1 = SpaceData.projective_space(1)
-
-
-def _fixed_dcp():
-    """Two real lines through a real point and a conjugate pair of
-    points on a real line of P^3."""
-    p0, p1, p2, z, zbar = rnc_points(3, [gq(0), gq(1), gq(2), gq(0, 1), gq(0, -1)])
-    generators = [
-        ("l01", span_points([p0, p1])),
-        ("l02", span_points([p0, p2])),
-        ("z", z),
-        ("zbar", zbar),
-        ("lz", span_points([z, zbar])),
-    ]
-    return build_dcp(3, generators)
 
 
 CASES = {
@@ -51,7 +36,7 @@ CASES = {
     "kt-n3-P1-chain": lambda: build_kt(3, P1, [[[1, 2, 3]]]),
     "braid-n4-partition": lambda: build_braid(4, "partition"),
     "braid-n4-linear": lambda: build_braid(4, "linear"),
-    "dcp-fixed": _fixed_dcp,
+    "dcp-fixed": fixed_dcp,
 }
 
 DIGESTS = {

@@ -5,7 +5,7 @@ import pytest
 
 from realwonder.arrangement import excess_dim
 from realwonder.engine import _separation_outcome
-from realwonder.exact import gq
+from realwonder.exact import GaussianRational as gq
 from realwonder.subspaces import (
     ProjSubspace,
     contains,
@@ -13,8 +13,9 @@ from realwonder.subspaces import (
     linear_rank,
     rnc_points,
     span_points,
-    span_sum,
 )
+
+from conftest import span_sum
 
 
 def brute_rank(rows):
