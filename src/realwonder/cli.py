@@ -9,6 +9,7 @@ excess intersection).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -35,7 +36,7 @@ from .models import (
     parse_sigma,
 )
 from .report import build_report, from_json, render_text, to_json
-from .subspaces import ProjSubspace, rnc_points, span_points
+from .subspaces import ProjSubspace, rnc_span
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -58,41 +59,52 @@ def _load_json(path: str):
         raise InputError(f"{path}: bad JSON: {exc}") from exc
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _literals(values, name: str) -> list:
+    try:
+        return [GaussianRational.parse(str(x)) for x in values]
+    except ValueError as exc:
+        raise InputError(f"generator {name}: {exc}") from exc
+
+
 def _parse_generators(data) -> tuple:
     try:
-        ambient_dim = int(data["ambient_dim"])
-        raw = list(data["generators"])
-    except (KeyError, TypeError, ValueError) as exc:
+        ambient_dim = data["ambient_dim"]
+        raw = data["generators"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad dcp schema: {exc}") from exc
-    if ambient_dim > MAX_AMBIENT_DIM:
+    if type(ambient_dim) is not int or not 1 <= ambient_dim <= MAX_AMBIENT_DIM:
         raise InputError(
-            f"ambient_dim {ambient_dim} is above the largest supported, {MAX_AMBIENT_DIM}"
+            f"ambient_dim must be an integer from 1 to {MAX_AMBIENT_DIM}, got {ambient_dim!r}"
         )
     generators = []
-    for i, g in enumerate(raw):
+    for i, g in enumerate(_json_list(raw, "generators")):
         if not isinstance(g, dict):
             raise InputError(f"generator {i}: expected an object, got {g!r}")
         name = str(g.get("name", f"g{i}"))
-        if "basis" not in g and "rnc_span" not in g:
-            raise InputError(f"generator {name}: need 'basis' or 'rnc_span'")
-        try:
-            if "basis" in g:
-                rows = [
-                    tuple(GaussianRational.parse(str(x)) for x in row)
-                    for row in g["basis"]
-                ]
-            else:
-                params = [GaussianRational.parse(str(t)) for t in g["rnc_span"]]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"generator {name}: {exc}") from exc
         if "basis" in g:
+            rows = [
+                _json_list(row, f"generator {name}: a basis row")
+                for row in _json_list(g["basis"], f"generator {name}: basis")
+            ]
             if any(len(row) != ambient_dim + 1 for row in rows):
                 raise InputError(
                     f"generator {name}: basis rows need {ambient_dim + 1} entries"
                 )
+            rows = [tuple(_literals(row, name)) for row in rows]
             sub = ProjSubspace.from_basis_rows(ambient_dim, rows)
+        elif "rnc_span" in g:
+            params = _json_list(g["rnc_span"], f"generator {name}: rnc_span")
+            if not params:
+                raise InputError(f"generator {name}: rnc_span needs at least one parameter")
+            sub = rnc_span(ambient_dim, _literals(params, name))
         else:
-            sub = span_points(rnc_points(ambient_dim, params))
+            raise InputError(f"generator {name}: need 'basis' or 'rnc_span'")
         generators.append((name, sub))
     return ambient_dim, generators
 
@@ -267,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dcp", help="De Concini-Procesi model of linear subspaces")
     p.add_argument("file", help="JSON arrangement description")
     _add_common(p)
-    p.set_defaults(func=cmd_dcp)
 
     p = subs.add_parser("moduli", help="moduli of stable rational curves (Kapranov)")
     p.add_argument("--n", type=int, required=True, help="number of marked points")
@@ -275,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sigma", default="id", help='real structure, cycle notation: "id", "(1 2)(3 4)"'
     )
     _add_common(p)
-    p.set_defaults(func=cmd_moduli)
 
     p = subs.add_parser("config", help="configuration-space compactifications")
     p.add_argument("--model", required=True, choices=["fm", "ulyanov", "kt"])
@@ -283,27 +293,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help="JSON space data for the factor")
     p.add_argument("--building", help="JSON building set (kt only)")
     _add_common(p)
-    p.set_defaults(func=cmd_config)
 
     p = subs.add_parser("hilb2", help="Smith-Thom deficiency of the Hilbert square")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="JSON Smith data with attestations")
     src.add_argument("--report", help="machine report of a ConjugationSpace run")
     p.add_argument("--machine", metavar="PATH", help="write the JSON result")
-    p.set_defaults(func=cmd_hilb2)
 
     p = subs.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="core", choices=SUITES)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use and kept:
+    parse_args does not change it, and building it takes about a quarter
+    of a small dcp job."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    commands = {
+        "dcp": cmd_dcp,
+        "moduli": cmd_moduli,
+        "config": cmd_config,
+        "hilb2": cmd_hilb2,
+        "verify": cmd_verify,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -13,8 +13,9 @@ All the work (intersections, sums, containment, ranks and kernels) is
 fraction-free elimination over the Gaussian integers, so rank decisions
 are exact by construction.  GaussianRational appears only at the
 boundary: input rows are integerized once, in from_constraints and
-from_basis_rows, and the GaussianRational constraints/basis rows are
-views built on demand for callers.
+from_basis_rows (rational-normal-curve points are built as integer rows
+directly, in _rnc_rows), and the GaussianRational constraints/basis
+rows are views built on demand for callers.
 """
 
 from __future__ import annotations
@@ -283,16 +284,6 @@ class ProjSubspace:
         return sub
 
     @classmethod
-    def point(cls, coords) -> "ProjSubspace":
-        coords = tuple(
-            c if isinstance(c, GaussianRational) else GaussianRational(c)
-            for c in coords
-        )
-        if all(c.is_zero for c in coords):
-            raise ValueError("zero vector is not a projective point")
-        return cls.from_basis_rows(len(coords) - 1, [coords])
-
-    @classmethod
     def whole(cls, ambient_dim: int) -> "ProjSubspace":
         return cls(ambient_dim, ())
 
@@ -410,6 +401,42 @@ def linear_rank(*subs) -> int:
     return _rank(*_stack([s.int_basis() for s in subs], n + 1), n + 1)
 
 
+def _rnc_rows(ambient_dim: int, params):
+    """Integer rows (re, im or None) of the points [1 : t : ... : t^N]
+    of the rational normal curve, one per parameter.
+
+    For t = p/q, with p a Gaussian integer and q the lcm of the two
+    denominators, the point times q^N is (q^N, q^(N-1) p, ..., p^N).
+    Repeated parameters are rejected.
+    """
+    seen = set()
+    rows = []
+    for t in params:
+        if not isinstance(t, GaussianRational):
+            t = GaussianRational(t)
+        if (t.re, t.im) in seen:
+            raise InputError(f"repeated rational normal curve parameter {t}")
+        seen.add((t.re, t.im))
+        q = lcm(t.re.denominator, t.im.denominator)
+        a = t.re.numerator * (q // t.re.denominator)
+        b = t.im.numerator * (q // t.im.denominator)
+        re, im = [], []
+        pa, pb = 1, 0  # p^(N-k), as re + im*i
+        for k in range(ambient_dim, -1, -1):
+            qk = q**k
+            re.append(pa * qk)
+            im.append(pb * qk)
+            pa, pb = pa * a - pb * b, pa * b + pb * a
+        rows.append((re, im if b else None))
+    return rows
+
+
+def rnc_span(ambient_dim: int, params) -> ProjSubspace:
+    """The span of the rational-normal-curve points of the parameters."""
+    rows = [([re], im and [im]) for re, im in _rnc_rows(ambient_dim, params)]
+    return ProjSubspace._from_int_basis(ambient_dim, *_stack(rows, ambient_dim + 1))
+
+
 def rnc_points(ambient_dim: int, params) -> list[ProjSubspace]:
     """Points [1 : t : t^2 : ... : t^N] on the rational normal curve.
 
@@ -417,19 +444,7 @@ def rnc_points(ambient_dim: int, params) -> list[ProjSubspace]:
     points are in general position; conjugate parameters give conjugate
     points.  Repeated parameters are rejected.
     """
-    params = [
-        t if isinstance(t, GaussianRational) else GaussianRational(t) for t in params
+    return [
+        ProjSubspace._from_int_basis(ambient_dim, [re], im and [im])
+        for re, im in _rnc_rows(ambient_dim, params)
     ]
-    seen = set()
-    for t in params:
-        k = (t.re, t.im)
-        if k in seen:
-            raise InputError(f"repeated rational normal curve parameter {t}")
-        seen.add(k)
-    pts = []
-    for t in params:
-        coords = [GaussianRational(1)]
-        for _ in range(ambient_dim):
-            coords.append(coords[-1] * t)
-        pts.append(ProjSubspace.point(coords))
-    return pts

@@ -22,3 +22,11 @@ def fixed_dcp():
 def span_sum(u: ProjSubspace, v: ProjSubspace) -> ProjSubspace:
     """The span of two subspaces, from their basis rows."""
     return ProjSubspace.from_basis_rows(u.ambient_dim, u.basis + v.basis)
+
+
+def point(coords) -> ProjSubspace:
+    """The projective point of a nonzero coordinate vector."""
+    coords = tuple(c if isinstance(c, gq) else gq(c) for c in coords)
+    if all(c.is_zero for c in coords):
+        raise ValueError("zero vector is not a projective point")
+    return ProjSubspace.from_basis_rows(len(coords) - 1, [coords])

@@ -24,7 +24,7 @@ from realwonder.models import SpaceData, build_dcp, build_fm, build_moduli, pars
 from realwonder.report import build_report, to_v1
 from realwonder.subspaces import rnc_points, span_points
 
-from conftest import fixed_dcp
+from conftest import fixed_dcp, point
 
 
 def classify_case(arr, sid, cid):
@@ -264,10 +264,8 @@ def _manual_linear_arrangement(ambient_dim, gens):
 def test_touching_pair_guard_invariant_bystander():
     """A conjugate pair of planes meeting at a real point, with an
     invariant line through that point: outside the analyzed scope."""
-    from realwonder.subspaces import ProjSubspace
-
     def pt(*coords):
-        return ProjSubspace.point([gq(*c) if isinstance(c, tuple) else gq(c) for c in coords])
+        return point([gq(*c) if isinstance(c, tuple) else gq(c) for c in coords])
 
     w = pt(1, 0, 0, 0, 0)
     u = span_points([w, pt(0, 1, 0, (0, 1), 0), pt(0, 0, 1, 0, (0, 1))])
@@ -282,10 +280,8 @@ def test_touching_pair_guard_invariant_bystander():
 def test_touching_pair_guard_nontransversal():
     """Conjugate planes through a common real line meet
     non-transversally; the real correction does not apply."""
-    from realwonder.subspaces import ProjSubspace
-
     def pt(*coords):
-        return ProjSubspace.point([gq(*c) if isinstance(c, tuple) else gq(c) for c in coords])
+        return point([gq(*c) if isinstance(c, tuple) else gq(c) for c in coords])
 
     a = pt(1, 0, 0, 0, 0, 0)
     b = pt(0, 1, 0, 0, 0, 0)

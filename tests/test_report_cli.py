@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -405,6 +406,181 @@ def test_cli_dcp_malformed_generators(tmp_path, capsys, name, payload):
     path.write_text(json.dumps(payload))
     assert cli.main(["dcp", str(path)]) == 2
     assert "input error:" in capsys.readouterr().err
+
+
+_AMBIENT_RANGE = f"ambient_dim must be an integer from 1 to {cli.MAX_AMBIENT_DIM}"
+_POINT = [{"name": "a", "rnc_span": ["1"]}]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"ambient_dim": -1, "generators": _POINT}, f"{_AMBIENT_RANGE}, got -1"),
+        ({"ambient_dim": 0, "generators": _POINT}, f"{_AMBIENT_RANGE}, got 0"),
+        ({"ambient_dim": 3.7, "generators": _POINT}, f"{_AMBIENT_RANGE}, got 3.7"),
+        ({"ambient_dim": True, "generators": _POINT}, f"{_AMBIENT_RANGE}, got True"),
+        ({"ambient_dim": "3", "generators": _POINT}, f"{_AMBIENT_RANGE}, got '3'"),
+        (
+            {"ambient_dim": 2, "generators": [{"name": "a", "rnc_span": []}]},
+            "generator a: rnc_span needs at least one parameter",
+        ),
+        (
+            {"ambient_dim": 2, "generators": [{"name": "a", "rnc_span": "12"}]},
+            "generator a: rnc_span must be a JSON list, got '12'",
+        ),
+        (
+            {"ambient_dim": 1, "generators": [{"name": "a", "basis": ["10"]}]},
+            "generator a: a basis row must be a JSON list, got '10'",
+        ),
+        (
+            {"ambient_dim": 1, "generators": [{"name": "a", "basis": "10"}]},
+            "generator a: basis must be a JSON list, got '10'",
+        ),
+        (
+            {"ambient_dim": 1, "generators": "ab"},
+            "generators must be a JSON list, got 'ab'",
+        ),
+    ],
+    ids=[
+        "ambient-negative",
+        "ambient-zero",
+        "ambient-float",
+        "ambient-bool",
+        "ambient-string",
+        "rnc-span-empty",
+        "rnc-span-string",
+        "basis-row-string",
+        "basis-string",
+        "generators-string",
+    ],
+)
+def test_cli_dcp_schema_messages(tmp_path, capsys, payload, message):
+    """ambient_dim is a JSON integer in range, and rnc_span, basis and
+    each basis row are JSON lists (a string would be read one character
+    at a time); anything else is an input error naming the field."""
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["dcp", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+_FUZZ_BASES = [
+    {
+        "ambient_dim": 2,
+        "generators": [
+            {"name": "p", "rnc_span": ["0"]},
+            {"name": "q", "rnc_span": ["1"]},
+            {"name": "r", "rnc_span": ["i"]},
+            {"name": "rbar", "rnc_span": ["-i"]},
+        ],
+    },
+    {
+        "ambient_dim": 3,
+        "generators": [
+            {"name": "line", "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]},
+            {"name": "pt", "rnc_span": ["1/2"]},
+            {"name": "l2", "rnc_span": ["2", "1+i", "1-i"]},
+        ],
+    },
+]
+_FUZZ_VALUES = [None, True, -1, 0, 3.7, 2, "12", "", "x", "1/0", [], {}, [[]], ["1"], [1, 2]]
+
+
+def _fuzz_mutate(rng, data):
+    """data with one field, chosen among all its fields at every depth,
+    dropped, retyped or emptied."""
+    slots = []
+    stack = [data]
+    while stack:
+        node = stack.pop()
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    if not slots:
+        return data
+    node, key = rng.choice(slots)
+    child = node[key]
+    action = rng.choice(["drop", "retype", "empty"])
+    if action == "drop":
+        del node[key]
+    elif action == "empty" and isinstance(child, (dict, list, str)):
+        node[key] = type(child)()
+    else:
+        node[key] = rng.choice(_FUZZ_VALUES)
+    return data
+
+
+def test_cli_dcp_fuzz(tmp_path, capsys):
+    """Seeded small mutations of valid dcp inputs exit 0, 2 or 3 and
+    never raise; the named malformed shapes are among them."""
+    import copy
+    import random
+
+    rng = random.Random(20261019)
+    cases = [
+        {"ambient_dim": 2, "generators": [{"name": "a", "rnc_span": []}]},
+        {"ambient_dim": -1, "generators": _POINT},
+        {"ambient_dim": 3.7, "generators": _POINT},
+        {"ambient_dim": True, "generators": _POINT},
+        {"ambient_dim": 2, "generators": [{"name": "a", "rnc_span": "12"}]},
+        {"ambient_dim": 1, "generators": [{"name": "a", "basis": ["10"]}]},
+    ]
+    named = len(cases)
+    for _ in range(200):
+        data = copy.deepcopy(rng.choice(_FUZZ_BASES))
+        for _ in range(rng.randint(1, 3)):
+            data = _fuzz_mutate(rng, data)
+        cases.append(data)
+    path = tmp_path / "arr.json"
+    codes = {}
+    for k, data in enumerate(cases):
+        path.write_text(json.dumps(data))
+        try:
+            code = cli.main(["dcp", str(path)])
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            pytest.fail(f"{data!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (data, code, err)
+        assert "Traceback" not in err, data
+        if k < named:
+            assert code == 2, (data, err)
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0) and codes.get(2), codes
+
+
+def test_cli_parser_reused_across_calls(tmp_path, capsys):
+    """main keeps one parser per process: the same argv gives the same
+    output and exit code before and after an argparse error."""
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(_FUZZ_BASES[0]))
+    seen = []
+    for argv in (["dcp", str(path)], ["dcp"], ["dcp", str(path)]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        seen.append((code, *capsys.readouterr()))
+    assert seen[1][0] == 2 and "required: file" in seen[1][2]
+    assert seen[0] == seen[2] and seen[0][0] == 0
+
+
+def test_cli_import_builds_no_parser():
+    """Importing the CLI constructs no argparse parser; main builds its
+    one on first use."""
+    import subprocess
+    import sys
+
+    code = (
+        "import argparse\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise SystemExit('a parser was built at import')\n"
+        "argparse.ArgumentParser.__init__ = refuse\n"
+        "import realwonder.cli\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
 
 
 _P1 = {"name": "P1", "dim_c": 1, "betti_c": [1, 0, 1], "betti_r": [1, 1]}

@@ -5,6 +5,7 @@ import pytest
 
 from realwonder.arrangement import excess_dim
 from realwonder.engine import _separation_outcome
+from realwonder.errors import InputError
 from realwonder.exact import GaussianRational as gq
 from realwonder.subspaces import (
     ProjSubspace,
@@ -12,10 +13,11 @@ from realwonder.subspaces import (
     intersect,
     linear_rank,
     rnc_points,
+    rnc_span,
     span_points,
 )
 
-from conftest import span_sum
+from conftest import point, span_sum
 
 
 def brute_rank(rows):
@@ -52,10 +54,46 @@ def test_rnc_points_examples():
     assert len(real) == 2
     assert mixed[2].conjugate() == mixed[3]
     assert rnc_points(1, [0])[0].proj_dim == 0
-    from realwonder.errors import InputError
-
     with pytest.raises(InputError):
         rnc_points(2, [1, 1])
+
+
+def _rnc_reference(ambient_dim, params):
+    """The rational-normal-curve points from GaussianRational powers."""
+    return [
+        ProjSubspace.from_basis_rows(ambient_dim, [tuple(t**k for k in range(ambient_dim + 1))])
+        for t in params
+    ]
+
+
+def test_rnc_rows_match_gaussian_reference():
+    """rnc_points and rnc_span, built from integer rows, equal the
+    points built from GaussianRational powers and their span_points, in
+    key and integer basis, on seeded real and complex parameters."""
+    rng = random.Random(14)
+
+    def param():
+        re = gq(rng.randint(-9, 9)) / rng.randint(1, 4)
+        im = gq(rng.randint(-5, 5)) / rng.randint(1, 3) if rng.random() < 0.5 else gq(0)
+        return re + im * gq(0, 1)
+
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        size = rng.randint(1, n + 2)
+        params = []
+        while len(params) < size:
+            t = param()
+            if t not in params:
+                params.append(t)
+        ref = _rnc_reference(n, params)
+        pts = rnc_points(n, params)
+        assert [p.key() for p in pts] == [p.key() for p in ref]
+        assert [p.int_basis() for p in pts] == [p.int_basis() for p in ref]
+        span, ref_span = rnc_span(n, params), span_points(ref)
+        assert span.key() == ref_span.key()
+        assert span.int_basis() == ref_span.int_basis()
+    with pytest.raises(InputError, match="repeated rational normal curve parameter 1/2"):
+        rnc_span(3, [gq(1, 0) / 2, gq(0, 1), gq(1, 0) / 2])
 
 
 def test_span_points_examples():
@@ -170,9 +208,9 @@ def test_separation_generic_rank_property():
 def test_conjugate_examples():
     real = span_points(rnc_points(2, [0, 1]))
     assert real.conjugate() == real
-    point = ProjSubspace.point([gq(1), gq(0, 1)])
-    assert point.conjugate() == ProjSubspace.point([gq(1), gq(0, -1)])
-    assert point.conjugate().conjugate() == point
+    p = point([gq(1), gq(0, 1)])
+    assert p.conjugate() == point([gq(1), gq(0, -1)])
+    assert p.conjugate().conjugate() == p
 
 
 def test_conjugate_commutes_with_operations():
@@ -201,7 +239,7 @@ def test_canonical_representation():
 
 def test_point_rejects_zero():
     with pytest.raises(ValueError):
-        ProjSubspace.point([gq(0), gq(0)])
+        point([gq(0), gq(0)])
 
 
 def test_empty_and_whole():
