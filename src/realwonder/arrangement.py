@@ -4,6 +4,8 @@ An Arrangement is a value: the blow-up engine consumes one and produces
 a new one.  The intersection table is sparse (only nonempty meets are
 stored) and may contain UNRESOLVED markers for pairs the incremental
 rules cannot express; reading such an entry aborts the run honestly.
+A run retires the rows no later blow-up reads (RetiredRow), and reading
+one of those aborts too.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from . import gradedpoly as gp
 from . import partitions as pt
 from . import subspaces as sub
-from .errors import InputError, UnsupportedExcessIntersection
+from .errors import InputError, InternalCheckError, UnsupportedExcessIntersection
 from .flags import FlagSet, Tri, UNKNOWN
 from .partitions import FramePartition, SetPartition
 from .subspaces import ProjSubspace, intersect as sub_intersect
@@ -31,6 +33,27 @@ class _Unresolved:
 
 
 UNRESOLVED = _Unresolved()
+
+
+class RetiredRow:
+    """The table row of a stratum that no later blow-up can read, in
+    place of its dict: a run retires the rows that are final (see
+    engine._retire) so their entries can be freed.  It holds no entries,
+    so len() is 0, and any read of it raises InternalCheckError naming
+    the row rather than answer that nothing meets it."""
+
+    __slots__ = ("sid",)
+
+    def __init__(self, sid: str):
+        self.sid = sid
+
+    def __len__(self):
+        return 0
+
+    def __getitem__(self, *_):
+        raise InternalCheckError(f"read of the retired table row {self.sid}")
+
+    get = keys = values = items = __iter__ = __contains__ = __getitem__
 
 
 @dataclass(frozen=True)
@@ -130,7 +153,8 @@ class PayloadMemo:
 class Arrangement:
     ambient: Stratum
     strata: dict
-    table: dict  # sid -> {other_sid: meet_sid | UNRESOLVED}; symmetric, sparse
+    # sid -> {other_sid: meet_sid | UNRESOLVED} or RetiredRow; symmetric, sparse
+    table: dict
     building_set: tuple = ()
     events: tuple = ()
     stretched: Tri = UNKNOWN

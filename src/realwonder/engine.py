@@ -40,6 +40,7 @@ from .arrangement import (
     Arrangement,
     PayloadMemo,
     REAL,
+    RetiredRow,
     Stratum,
     UNRESOLVED,
     clean_sum_side,
@@ -561,8 +562,9 @@ def blow_up_step(arr: Arrangement):
         cur = _apply_touching_pair_correction(cur, arr, pair_meet, d)
 
     # ---- event-level flags ------------------------------------------
+    # into the strata dict the last center made, which nothing else holds
     stretched = arr.stretched
-    new_strata = dict(cur.strata)
+    new_strata = cur.strata
     for sid, labels in case_record.items():
         if sid not in strata:
             continue  # created mid-event; flags set at creation
@@ -601,12 +603,7 @@ def blow_up_step(arr: Arrangement):
     )
     ambient = replace(cur.ambient, flags=amb_flags)
 
-    out = replace(
-        cur,
-        ambient=ambient,
-        strata=new_strata,
-        events=arr.events[1:],
-    )
+    out = replace(cur, ambient=ambient, events=arr.events[1:])
 
     after_c, after_r = ambient.betti_c, ambient.betti_r
     defi_after = gp.total(after_c) - gp.total(after_r)
@@ -640,13 +637,12 @@ def _guard_touching_pair(arr: Arrangement, event, wid: str, d: int):
         raise UnsupportedExcessIntersection(
             f"conjugate centers {event} meet non-transversally in {wid}"
         )
-    for sid, s in arr.strata.items():
+    # the strata that meet the first center are those of its row, walked
+    # in strata order so that the first offender is the same
+    for sid in filter(arr.table[event[0]].__contains__, arr.strata):
         if sid in event or sid == wid:
             continue
-        raw = arr.raw_meet(sid, event[0])
-        if raw is None:
-            continue
-        if s.partner is None:
+        if arr.strata[sid].partner is None:
             raise UnsupportedExcessIntersection(
                 f"invariant stratum {sid} meets the intersecting conjugate "
                 f"pair {event}; real bookkeeping not supported"
@@ -731,26 +727,63 @@ def _check_step(before: Arrangement, arr: Arrangement, trace: StepTrace):
         raise InternalCheckError("non-maximal flag with zero deficiency")
 
 
+def _retire(table: dict, sids, remaining: set) -> None:
+    """Retire in place the row of each of sids whose stratum is in no
+    remaining event and that names no remaining event stratum: no later
+    blow-up reads it.  A step reads only the rows of its center and of
+    the strata in the center's row, and S lies in row(C) exactly when C
+    lies in row(S); a row no step touches is shared verbatim, and the
+    pieces of a step meet only touched strata, so the row gains no
+    entry either."""
+    for sid in sids:
+        if sid not in remaining and table[sid].keys().isdisjoint(remaining):
+            table[sid] = RetiredRow(sid)
+
+
+def _retiring_steps(arr: Arrangement):
+    """Blow up the events of arr in order, retiring every table row that
+    no later event reads; yields (arrangement, trace), first (arr with
+    the rows final before any event retired, None), then once per event.
+
+    The first sweep works on a copy of arr's table, which stays whole.
+    After an event only the rows it touched or made can have become
+    final (a stratum whose row names an event stratum C lies in row(C),
+    so the event touched it), so the sweep looks at those alone, in the
+    table dict the step made.
+    Steps stay pure: a bare blow_up_step keeps every row."""
+    remaining = {sid for ev in arr.events for sid in ev}
+    table = dict(arr.table)
+    _retire(table, arr.table, remaining)
+    cur = replace(arr, table=table)
+    yield cur, None
+    while cur.events:
+        cur, trace = blow_up_step(cur)
+        remaining.difference_update(trace.event)
+        _retire(cur.table, trace.cases.keys() | trace.new_strata, remaining)
+        yield cur, trace
+
+
 def wonderful_run(arr: Arrangement) -> RunResult:
     """Blow up all building events in order, check every stratum once
-    more at the end, and report the verdict."""
+    more at the end, and report the verdict.  The final arrangement
+    keeps every stratum, but every row of its table is retired."""
     dims = [arr.strata[ev[0]].dim_c for ev in arr.events]
     if dims != sorted(dims):
         raise EngineError("building events are not in nondecreasing dimension order")
     ledger = DeficiencyLedger(arr.ambient.defi)
     traces = []
-    cur = replace(arr, memo=PayloadMemo())  # this run's payload memo
-    while cur.events:
-        label = "+".join(cur.events[0])
-        try:
-            cur, trace = blow_up_step(cur)
+    steps = _retiring_steps(replace(arr, memo=PayloadMemo()))  # this run's payload memo
+    cur, _ = next(steps)
+    try:
+        for cur, trace in steps:
+            label = "+".join(trace.event)
             ledger = deficiency_update(ledger, trace.codim, trace.event_defi, label=label)
             if ledger.value != trace.deficiency_after:
                 raise InternalCheckError("ledger diverged from Betti payloads")
-        except EngineError as exc:
-            exc.step = f"step {len(traces) + 1} ({label})"
-            raise
-        traces.append(trace)
+            traces.append(trace)
+    except EngineError as exc:
+        exc.step = f"step {len(traces) + 1} ({'+'.join(arr.events[len(traces)])})"
+        raise
     problems = cur.validate_strata()
     if problems:
         raise InternalCheckError("; ".join(problems))

@@ -25,4 +25,4 @@ class UnsupportedExcessIntersection(EngineError):
 
 class InternalCheckError(EngineError):
     """An always-on consistency identity (ledger, Euler, Smith, duality)
-    failed after a step."""
+    failed after a step, or a retired table row was read."""

@@ -32,6 +32,7 @@ CASES = {
     "moduli-n6-id": lambda: build_moduli(parse_sigma("id", 6)),
     "moduli-n6-(1 2)": lambda: build_moduli(parse_sigma("(1 2)", 6)),
     "fm-n4-P1": lambda: build_fm(4, P1),
+    "fm-n5-P1": lambda: build_fm(5, P1),
     "ulyanov-n3-P1": lambda: build_ulyanov(3, P1),
     "kt-n3-P1-chain": lambda: build_kt(3, P1, [[[1, 2, 3]]]),
     "braid-n4-partition": lambda: build_braid(4, "partition"),
@@ -44,6 +45,7 @@ DIGESTS = {
     "braid-n4-partition": "366f44783a80769a8587bfc8c9fe83114d6570a69adcd983bea20ee5ddfcf8fa",
     "dcp-fixed": "ed823490b383390197380c887a115b1f19532e04d8e81046fa63b4378f4ffa61",
     "fm-n4-P1": "88743891fbda514e2599aff02aa1332dfe68a46a852f3692a43c1e3c162afa27",
+    "fm-n5-P1": "4caf851f158b2db58095bcfd3c5fecd41630dfde654a64077a5ae1b2eb0aa2d0",
     "kt-n3-P1-chain": "3769a567818dad4fb5b4a4737723d8936c8d1ec2eee80aa001463112754b18d7",
     "moduli-n6-(1 2)": "97a6b1421028f287087c788f79c021de4d7fb6007247e8d770abdbc883b1129d",
     "moduli-n6-id": "cbc197467fea485200062cd052c77305df25ec995cdd003bb25874f9b5e4459c",
@@ -56,6 +58,7 @@ DIGESTS_V2 = {
     "braid-n4-partition": "aa42b8d4f74e0a7558949b4de1f935e41b6bf667119ac1da438cb084ca5735fa",
     "dcp-fixed": "a8c4c5937bcf914b15b5b3fc508781daf8a3c20d0814d481afda058814c3275c",
     "fm-n4-P1": "80e7d08a1c971c60202d3a66740fe6d15828df03bde292ba856a82d19ddfdf32",
+    "fm-n5-P1": "f418060616432e4cab32b06b0ca31cb2f6cde3ad24a76c8ee431a7095e5ddd78",
     "kt-n3-P1-chain": "f32dab6e9ffccbfd2612c58d21da8c4df56a88b8c67a9a374356600e9b510554",
     "moduli-n6-(1 2)": "3d6f0b6a7ef3c01047e7e21536a2e1165f99f69ddd55533742a0a2cf56267404",
     "moduli-n6-id": "f9b05486f1ce9e236bffeda0927ad67817301151b85ec2b1d5ae44425b38ec9e",

@@ -1,0 +1,190 @@
+"""Row retirement in the wonderful run.
+
+A run retires each table row that no later blow-up can read: its
+stratum is in no remaining event and it names no remaining event
+stratum.  These tests step a plain blow_up_step chain, which keeps
+every row, beside the run's retiring loop, and check that a retired row
+is final and that reading one is an internal error.
+"""
+
+import re
+
+import pytest
+
+from realwonder import cli, engine
+from realwonder.arrangement import RetiredRow
+from realwonder.engine import blow_up_step, wonderful_run
+from realwonder.errors import InternalCheckError, UnsupportedExcessIntersection
+from realwonder.exact import GaussianRational as gq
+from realwonder.models import (
+    SpaceData,
+    build_braid,
+    build_dcp,
+    build_fm,
+    build_kt,
+    build_moduli,
+    build_ulyanov,
+    parse_sigma,
+)
+from realwonder.subspaces import rnc_points, span_points
+
+from conftest import fixed_dcp
+
+P1 = SpaceData.projective_space(1)
+
+
+def _touch_p4():
+    """A plane of P^4 through a real point and its conjugate, which meet
+    transversally in that point; the engine resolves the pair."""
+    a = span_points(rnc_points(4, [gq(0), gq(1, 1), gq(2, 1)]))
+    return build_dcp(4, [("A", a), ("Abar", a.conjugate())])
+
+
+MODELS = {
+    "fm-n4-P1": lambda: build_fm(4, P1),
+    "fm-n5-P1": lambda: build_fm(5, P1),
+    "moduli-n6-id": lambda: build_moduli(parse_sigma("id", 6)),
+    "moduli-n6-(1 2)": lambda: build_moduli(parse_sigma("(1 2)", 6)),
+    "kt-n3-P1-chain": lambda: build_kt(3, P1, [[[1, 2, 3]]]),
+    "ulyanov-n3-P1": lambda: build_ulyanov(3, P1),
+    "braid-n4-partition": lambda: build_braid(4, "partition"),
+    "braid-n4-linear": lambda: build_braid(4, "linear"),
+    "dcp-fixed": fixed_dcp,
+    "touch-p4": _touch_p4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_retiring_run_matches_full_chain(name):
+    """After each event k: a row retired so far is in no event after k
+    and names no stratum of one in the full chain's table, where it is
+    the very row it was when retired; every live row equals the full
+    chain's row, with the same items in the same order; the traces are
+    equal; and at the end no row is live."""
+    arr = MODELS[name]()
+    initial = {sid: list(row.items()) for sid, row in arr.table.items()}
+    steps = engine._retiring_steps(arr)
+    cur, _ = next(steps)
+    full = arr
+    frozen = {}  # retired sid -> the full chain's row at retirement
+    retired_mid_run = 0
+    for k in range(len(arr.events) + 1):
+        if k:
+            cur, trace = next(steps)
+            full, full_trace = blow_up_step(full)
+            assert trace == full_trace
+        later = {sid for ev in arr.events[k:] for sid in ev}
+        assert cur.strata == full.strata
+        assert list(cur.table) == list(full.table)
+        for sid, row in cur.table.items():
+            if isinstance(row, RetiredRow):
+                assert row.sid == sid
+                if sid not in frozen:
+                    frozen[sid] = full.table[sid]
+                    retired_mid_run += bool(later)
+                assert full.table[sid] is frozen[sid]
+                assert sid not in later
+                assert later.isdisjoint(frozen[sid])
+            else:
+                assert sid not in frozen
+                assert list(row.items()) == list(full.table[sid].items())
+    assert next(steps, None) is None
+    assert not cur.events
+    assert set(frozen) == set(cur.strata)
+    assert {sid: list(row.items()) for sid, row in arr.table.items()} == initial
+    if name.startswith("fm-"):
+        assert retired_mid_run
+
+
+def test_retired_row_read_raises():
+    """A run's final arrangement keeps its strata, and every row of its
+    table is retired: len() of a row is 0, and a read through raw_meet,
+    meet or leq, or inside a step, raises InternalCheckError naming the
+    row, never None."""
+    arr = build_fm(4, P1)
+    a = next(sid for sid, row in arr.table.items() if row)
+    b = next(iter(arr.table[a]))
+    final = wonderful_run(arr).arrangement
+    assert set(arr.strata) <= set(final.strata)
+    assert sum(len(row) for row in final.table.values()) == 0
+    message = re.escape(f"read of the retired table row {a}")
+    for read in (final.raw_meet, final.meet, final.leq):
+        with pytest.raises(InternalCheckError, match=message):
+            read(a, b)
+    with pytest.raises(InternalCheckError, match=message):
+        dict(final.table[a])
+    center = arr.events[0][0]
+    stepped = type(final)(
+        ambient=final.ambient,
+        strata=final.strata,
+        table=final.table,
+        events=((center,),),
+    )
+    with pytest.raises(InternalCheckError, match=re.escape(f"retired table row {center}")):
+        blow_up_step(stepped)
+
+
+def test_cli_retired_row_read_exits_3(tmp_path, monkeypatch, capsys):
+    """A read of a retired row after the run is an internal error: the
+    CLI exits 3 and names the row."""
+    space = tmp_path / "p1.json"
+    space.write_text(
+        '{"name": "P1", "dim_c": 1, "betti_c": [1, 0, 1], "betti_r": [1, 1], '
+        '"real_nonempty": true}',
+        encoding="utf-8",
+    )
+    build_report = cli.build_report
+
+    def reading(model, result):
+        result.arrangement.meet("12", "34")
+        return build_report(model, result)
+
+    monkeypatch.setattr(cli, "build_report", reading)
+    code = cli.main(["config", "--model", "fm", "--n", "4", "--space", str(space)])
+    assert code == 3
+    assert "engine guard: read of the retired table row 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ambient_dim, real, plus, minus, hyperplane",
+    [
+        (4, ["0"], ["1+i", "2+i"], ["1-i", "2-i"], ["2", "3", "4", "5"]),
+        (5, ["0", "1"], ["1+i", "3+2i"], ["1-i", "3-2i"], ["2", "3", "4", "5", "6"]),
+    ],
+    ids=["touch-p4-hyperplane", "touch-p5-hyperplane"],
+)
+def test_touching_pair_guard_first_offender(ambient_dim, real, plus, minus, hyperplane):
+    """The touching-pair guard reads the strata that meet the pair from
+    the center's row, and stops at the same first offender, with the
+    same message, as a walk of every stratum in strata order."""
+    data = {
+        "ambient_dim": ambient_dim,
+        "generators": [
+            {"name": "A", "rnc_span": real + plus},
+            {"name": "Abar", "rnc_span": real + minus},
+            {"name": "B0", "rnc_span": hyperplane},
+        ],
+    }
+    arr = cli.build_dcp(*cli._parse_generators(data))
+    full = arr
+    while full.events[0] != ("A", "Abar"):
+        full, _ = blow_up_step(full)
+    event = full.events[0]
+    wid = full.raw_meet(*event)
+    offenders = [
+        sid
+        for sid in full.strata
+        if sid not in event and sid != wid and full.raw_meet(sid, event[0]) is not None
+    ]
+    assert len(offenders) > 1
+    first = offenders[0]
+    assert full.strata[first].partner is None
+    expected = (
+        f"invariant stratum {first} meets the intersecting conjugate pair {event}; "
+        "real bookkeeping not supported"
+    )
+    with pytest.raises(UnsupportedExcessIntersection) as stop:
+        wonderful_run(arr)
+    assert str(stop.value) == expected
+    k = arr.events.index(event) + 1
+    assert stop.value.step == f"step {k} (A+Abar)"
