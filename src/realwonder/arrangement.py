@@ -97,10 +97,14 @@ def payload_problems(dim_c, betti_c, betti_r, real_status) -> tuple:
             problems.append(f"Smith inequality violated ({tr} > {tc})")
         if (tc - tr) % 2:
             problems.append("total Betti parity violated")
-    if not gp.is_palindromic(betti_c, 2 * dim_c):
+    if betti_c.is_zero:
+        problems.append("empty complex Betti vector")
+    elif not gp.is_palindromic(betti_c, 2 * dim_c):
         problems.append("complex Betti not palindromic")
     if real_status == REAL:
-        if not gp.is_palindromic(betti_r, dim_c):
+        if betti_r.is_zero:
+            problems.append("empty real Betti vector with real points")
+        elif not gp.is_palindromic(betti_r, dim_c):
             problems.append("real Betti not palindromic")
     elif not betti_r.is_zero:
         problems.append("nonzero real Betti without real points")

@@ -14,11 +14,12 @@ import json
 import sys
 from dataclasses import replace
 
-from . import __version__
+from . import __version__, schema
+from .arrangement import AMBIENT_ID
 from .engine import wonderful_run
 from .errors import EngineError, InputError, RealWonderError
 from .exact import GaussianRational
-from .flags import FlagSet
+from .flags import read_flags
 from .hilbert import (
     SmithData,
     consistency,
@@ -48,6 +49,14 @@ EXIT_INTERNAL = 3
 # P^3 to P^5, so a larger N is a typo that would run without end.
 MAX_AMBIENT_DIM = 64
 
+# a dcp arrangement and one of its generators (see _parse_generators)
+DCP = {"ambient_dim": range(1, MAX_AMBIENT_DIM + 1), "generators": list}
+GENERATOR = {"basis": (list, None), "rnc_span": (list, None)}
+
+# a `hilb2 --file` input and its attestations
+HILB2 = {"smith": dict, "attest": (dict, {})}
+ATTEST = {"tors2_free": (bool, False), "effective_gm": (bool, False)}
+
 
 def _load_json(path: str):
     try:
@@ -59,12 +68,6 @@ def _load_json(path: str):
         raise InputError(f"{path}: bad JSON: {exc}") from exc
 
 
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a JSON list, got {value!r}")
-    return value
-
-
 def _literals(values, name: str) -> list:
     try:
         return [GaussianRational.parse(str(x)) for x in values]
@@ -73,56 +76,39 @@ def _literals(values, name: str) -> list:
 
 
 def _parse_generators(data) -> tuple:
-    try:
-        ambient_dim = data["ambient_dim"]
-        raw = data["generators"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad dcp schema: {exc}") from exc
-    if type(ambient_dim) is not int or not 1 <= ambient_dim <= MAX_AMBIENT_DIM:
-        raise InputError(
-            f"ambient_dim must be an integer from 1 to {MAX_AMBIENT_DIM}, got {ambient_dim!r}"
-        )
+    data = schema.read(data, DCP)
+    ambient_dim = data["ambient_dim"]
     generators = []
-    for i, g in enumerate(_json_list(raw, "generators")):
-        if not isinstance(g, dict):
-            raise InputError(f"generator {i}: expected an object, got {g!r}")
-        name = str(g.get("name", f"g{i}"))
-        if "basis" in g:
-            rows = [
-                _json_list(row, f"generator {name}: a basis row")
-                for row in _json_list(g["basis"], f"generator {name}: basis")
-            ]
-            if any(len(row) != ambient_dim + 1 for row in rows):
-                raise InputError(
-                    f"generator {name}: basis rows need {ambient_dim + 1} entries"
-                )
-            rows = [tuple(_literals(row, name)) for row in rows]
+    for i, g in enumerate(data["generators"]):
+        name = g.get("name", f"g{i}") if type(g) is dict else None
+        where = f"generator {name if type(name) is str else i}: "
+        g = schema.read(g, {"name": (str, f"g{i}"), **GENERATOR}, where)
+        # a stratum id: not the ambient's, nor a piece's (S^C), nor taken
+        if not name or name == AMBIENT_ID or "^" in name or name in dict(generators):
+            rule = f"must be non-empty, unique, not {AMBIENT_ID!r} and without '^'"
+            raise InputError(f"generator {i}: name {name!r} {rule}")
+        if (g["basis"] is None) == (g["rnc_span"] is None):
+            raise InputError(f"{where}give exactly one of 'basis' and 'rnc_span'")
+        if g["basis"] is not None:
+            for row in g["basis"]:
+                schema.check(row, list, f"{where}a basis row")
+                if len(row) != ambient_dim + 1:
+                    raise InputError(f"{where}basis rows need {ambient_dim + 1} entries")
+            rows = [tuple(_literals(row, name)) for row in g["basis"]]
             sub = ProjSubspace.from_basis_rows(ambient_dim, rows)
-        elif "rnc_span" in g:
-            params = _json_list(g["rnc_span"], f"generator {name}: rnc_span")
-            if not params:
-                raise InputError(f"generator {name}: rnc_span needs at least one parameter")
-            sub = rnc_span(ambient_dim, _literals(params, name))
+        elif g["rnc_span"]:
+            sub = rnc_span(ambient_dim, _literals(g["rnc_span"], name))
         else:
-            raise InputError(f"generator {name}: need 'basis' or 'rnc_span'")
+            raise InputError(f"{where}rnc_span needs at least one parameter")
         generators.append((name, sub))
     return ambient_dim, generators
 
 
 def _apply_seed_flags(arr, path: str):
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise InputError("seed-flags file must map stratum ids to flag objects")
-    ambient = arr.ambient
-    strata = dict(arr.strata)
-    axioms = list(arr.flag_axioms)
+    data = schema.check(_load_json(path), dict, "seed-flags file")
+    ambient, strata, axioms = arr.ambient, dict(arr.strata), list(arr.flag_axioms)
     for sid, flags in sorted(data.items()):
-        if not isinstance(flags, dict):
-            raise InputError(f"seed-flags {sid}: expected a flag object, got {flags!r}")
-        try:
-            fs = FlagSet.from_dict(flags)
-        except ValueError as exc:
-            raise InputError(f"seed-flags {sid}: {exc}") from exc
+        fs = read_flags(flags, f"seed-flags {sid}: ")
         if sid == "ambient":
             ambient = replace(ambient, flags=fs)
         elif sid in strata:
@@ -161,36 +147,16 @@ def cmd_moduli(args) -> int:
 
 def cmd_config(args) -> int:
     space = SpaceData.from_dict(_load_json(args.space))
-    if args.model == "fm":
-        arr = build_fm(args.n, space, validate_prefixes=args.validate_prefixes)
-    elif args.model == "ulyanov":
-        arr = build_ulyanov(args.n, space, validate_prefixes=args.validate_prefixes)
-    elif args.model == "kt":
+    if args.model == "kt":
         if not args.building:
             raise InputError("the kt model needs --building (JSON list of partitions)")
-        building = _load_json(args.building)
+        building = schema.check(_load_json(args.building), [[[int]]], "building set")
         arr = build_kt(args.n, space, building, validate_prefixes=args.validate_prefixes)
     else:
-        raise InputError(f"unknown configuration model {args.model!r}")
+        build = build_fm if args.model == "fm" else build_ulyanov
+        arr = build(args.n, space, validate_prefixes=args.validate_prefixes)
     model = {"kind": "config", "model": args.model, "n": args.n, "space": space.to_dict()}
     return _run(arr, model, args)
-
-
-def _report_final(report: dict, path: str) -> dict:
-    """The "final" block of a machine report, after checking the keys
-    hilb2 reads and their types."""
-    final = report.get("final")
-    if not isinstance(final, dict):
-        raise InputError(f"{path}: report has no 'final' object")
-    wanted = {"verdict": str, "total_c": int, "total_r": int}
-    for key, kind in wanted.items():
-        value = final.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise InputError(f"{path}: report 'final.{key}' must be a {kind.__name__}")
-    dim = report.get("ambient_dim")
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise InputError(f"{path}: report 'ambient_dim' must be an int")
-    return final
 
 
 def cmd_hilb2(args) -> int:
@@ -200,30 +166,29 @@ def cmd_hilb2(args) -> int:
                 report = from_json(handle.read())
         except OSError as exc:
             raise InputError(f"cannot read {args.report}: {exc}") from exc
-        final = _report_final(report, args.report)
+        where = f"{args.report}: report "
+        dim = schema.check(report.get("ambient_dim"), int, f"{where}'ambient_dim'")
+        final = schema.check(report.get("final"), dict, f"{where}'final'")
+        kinds = {"total_c": int, "total_r": int, "verdict": str}
         data = smith_data(
-            report["ambient_dim"], final["total_c"], final["total_r"], final["verdict"]
+            dim, *(schema.check(final.get(k), kinds[k], f"{where}'final.{k}'") for k in kinds)
         )
         attest = {"tors2_free": True, "effective_gm": True}
     else:
-        payload = _load_json(args.file)
-        if not isinstance(payload, dict):
-            raise InputError(f"{args.file}: Smith data must be a JSON object")
-        data = SmithData.from_dict(payload.get("smith", payload))
-        attest = payload.get("attest", {})
-        if not isinstance(attest, dict):
-            raise InputError(f"{args.file}: 'attest' must be a JSON object, got {attest!r}")
+        payload = schema.read(_load_json(args.file), HILB2, f"{args.file}: ", "'")
+        data = SmithData.from_dict(payload["smith"])
+        attest = schema.read(payload["attest"], ATTEST, f"{args.file}: 'attest': ")
 
-    problems = consistency(data, effective_gm=bool(attest.get("effective_gm")))
+    problems = consistency(data, effective_gm=attest["effective_gm"])
     if problems:
         raise InputError("inconsistent Smith data: " + "; ".join(problems))
     lines = [f"smith data: {json.dumps(data.to_dict(), sort_keys=True)}"]
     out = {"schema_version": 1, "smith": data.to_dict(), "deficiency": {}}
-    if data.rank_mu is not None and attest.get("tors2_free"):
+    if data.rank_mu is not None and attest["tors2_free"]:
         value = deficiency_general(data, attest_tors2_free=True)
         lines.append(f"deficiency of the Hilbert square (general formula): {value}")
         out["deficiency"]["general"] = value
-    if attest.get("effective_gm") and attest.get("tors2_free"):
+    if attest["effective_gm"] and attest["tors2_free"]:
         value = deficiency_effective_gm(
             data, attest_effective_gm=True, attest_tors2_free=True
         )

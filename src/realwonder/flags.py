@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass
 
 from . import gradedpoly as gp
-from .errors import InternalCheckError
+from . import schema
+from .errors import InputError, InternalCheckError
 
 
 class Tri(enum.Enum):
@@ -26,12 +27,6 @@ class Tri(enum.Enum):
 
 
 YES, NO, UNKNOWN = Tri.YES, Tri.NO, Tri.UNKNOWN
-
-
-def parse_tri(text) -> Tri:
-    if isinstance(text, Tri):
-        return text
-    return Tri(str(text).lower())
 
 
 @dataclass(frozen=True)
@@ -54,18 +49,20 @@ class FlagSet:
             "galois_maximal": self.galois_maximal.value,
         }
 
-    @classmethod
-    def from_dict(cls, d) -> "FlagSet":
-        if not isinstance(d, dict):
-            raise TypeError(f"flags must be a JSON object, got {d!r}")
-        return cls(
-            parse_tri(d.get("effective", UNKNOWN)),
-            parse_tri(d.get("maximal", UNKNOWN)),
-            parse_tri(d.get("galois_maximal", UNKNOWN)),
-        )
-
 
 CONJUGATION_SPACE = FlagSet(YES, YES, YES)
+
+# a flags object; each value is yes, no or unknown, in any case
+FLAGS = {key: (str, "unknown") for key in ("effective", "maximal", "galois_maximal")}
+
+
+def read_flags(data, where: str) -> FlagSet:
+    """The FlagSet of a JSON flags object (FLAGS), read strictly."""
+    fields = schema.read(data, FLAGS, where)
+    try:
+        return FlagSet(*(Tri(fields[key].lower()) for key in FLAGS))
+    except ValueError as exc:
+        raise InputError(f"{where}{exc}") from exc
 
 
 def pair_event_flags() -> FlagSet:

@@ -11,7 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from . import schema
 from .errors import InputError, InternalCheckError
+
+# the "smith" object of a `hilb2 --file` input
+SMITH = {
+    "n": int,
+    "beta_total": int,
+    "beta_fixed": int,
+    "beta_odd": (int, 0),
+    "delta": ([int], []),
+    "rank_mu": (int, None),
+}
 
 
 @dataclass(frozen=True)
@@ -36,17 +47,8 @@ class SmithData:
 
     @classmethod
     def from_dict(cls, d) -> "SmithData":
-        try:
-            return cls(
-                n=int(d["n"]),
-                beta_total=int(d["beta_total"]),
-                beta_fixed=int(d["beta_fixed"]),
-                beta_odd=int(d.get("beta_odd", 0)),
-                delta=tuple(int(x) for x in d.get("delta", [])),
-                rank_mu=None if d.get("rank_mu") is None else int(d["rank_mu"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad Smith data: {exc}") from exc
+        """The Smith data of a JSON object (SMITH)."""
+        return cls(**schema.read(d, SMITH, "bad Smith data: "))
 
     def to_dict(self) -> dict:
         return {

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import gradedpoly as gp
+from . import schema
 from .arrangement import (
     AMBIENT_ID,
     Arrangement,
@@ -32,6 +33,7 @@ from .flags import (
     YES,
     pair_event_flags,
     product_flags,
+    read_flags,
 )
 from .partitions import FramePartition, SetPartition, diagonals
 from .subspaces import (
@@ -44,6 +46,17 @@ from .subspaces import (
 
 # ----------------------------------------------------------------------
 # abstract factors for configuration models
+
+
+# a space file of `config --space`
+SPACE = {
+    "name": (str, "space"),
+    "dim_c": int,
+    "betti_c": [int],
+    "betti_r": ([int], []),
+    "real_nonempty": (bool, True),
+    "flags": (dict, {}),
+}
 
 
 @dataclass(frozen=True)
@@ -94,19 +107,14 @@ class SpaceData:
 
     @classmethod
     def from_dict(cls, d) -> "SpaceData":
-        if not isinstance(d, dict):
-            raise InputError(f"bad space data: expected a JSON object, got {d!r}")
+        """The space of a JSON space file (SPACE)."""
+        d = schema.read(d, SPACE, "bad space data: ")
+        flags = read_flags(d["flags"], "bad space data: flags: ")
         try:
-            return cls(
-                name=str(d.get("name", "space")),
-                dim_c=int(d["dim_c"]),
-                betti_c=gp.BettiVector(d["betti_c"]),
-                betti_r=gp.BettiVector(d.get("betti_r", [])),
-                real_nonempty=bool(d.get("real_nonempty", True)),
-                flags=FlagSet.from_dict(d.get("flags", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            betti = [gp.BettiVector(d[key]) for key in ("betti_c", "betti_r")]
+        except ValueError as exc:
             raise InputError(f"bad space data: {exc}") from exc
+        return cls(d["name"], d["dim_c"], *betti, d["real_nonempty"], flags)
 
     def to_dict(self) -> dict:
         return {
@@ -506,19 +514,8 @@ def build_kt(
     """Kuperberg-Thurston style compactification for a user-supplied
     polydiagonal building set (list of block lists); the set is
     validated, never auto-completed."""
-    if not isinstance(building, (list, tuple)):
-        raise InputError("kt building set must be a list of partitions")
     parts = []
     for i, blocks in enumerate(building):
-        if not isinstance(blocks, (list, tuple)) or not all(
-            isinstance(block, (list, tuple))
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in block)
-            for block in blocks
-        ):
-            raise InputError(
-                f"building entry {i}: expected a list of blocks of point "
-                f"numbers, got {blocks!r}"
-            )
         try:
             part = SetPartition(n, blocks)
         except ValueError as exc:

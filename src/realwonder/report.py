@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 
 from . import gradedpoly as gp
+from . import schema
 from .engine import CENTER, CONTAINS, DISJOINT, INSIDE, PROPER, RunResult
 from .errors import InputError
 
@@ -202,8 +203,7 @@ def from_json(text: str) -> dict:
         report = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad report JSON: {exc}") from exc
-    if not isinstance(report, dict):
-        raise InputError(f"a report is a JSON object, not {type(report).__name__}")
+    schema.check(report, dict, "a report")
     if _version(report) == SCHEMA_VERSION:
         for _ in _v2_steps(report):
             pass
@@ -236,68 +236,45 @@ def to_v1(report: dict) -> dict:
 
 
 def _version(report: dict) -> int:
-    version = report.get("schema_version")
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
-        raise InputError(f"unsupported report schema version {version!r}")
-    return version
-
-
-def _is_ids(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    versions = range(1, SCHEMA_VERSION + 1)
+    return schema.check(report.get("schema_version"), versions, "report schema version")
 
 
 def _v2_steps(report: dict):
     """Check the step records of a v2 report and yield each with the ids
     present before it (a list that grows after each yield) and the set of
     pieces the first center of a pair made."""
-    present = report.get("initial_strata")
-    steps = report.get("steps")
-    if not _is_ids(present):
-        raise InputError("report 'initial_strata' must be a list of stratum ids")
-    if not isinstance(steps, list):
-        raise InputError("report 'steps' must be a list")
-    present = list(present)
+    present = list(schema.check(report.get("initial_strata"), [str], "report 'initial_strata'"))
     known = set(present)
-    for k, step in enumerate(steps, start=1):
-        if not isinstance(step, dict):
-            raise InputError(f"report step {k} is not an object")
-        event, cases, created = step.get("event"), step.get("cases"), step.get("created")
-        if not _is_ids(event) or len(event) not in (1, 2):
-            raise InputError(f"report step {k}: 'event' must list one or two centers")
-        if not isinstance(cases, dict):
-            raise InputError(f"report step {k}: 'cases' must be an object")
-        if not isinstance(created, list) or not all(_is_ids(c) for c in created):
-            raise InputError(f"report step {k}: 'created' must be a list of id lists")
+    for k, step in enumerate(schema.check(report.get("steps"), [dict], "report 'steps'"), 1):
+        where = f"report step {k}: "
+        event = schema.check(step.get("event"), [str], f"{where}'event'")
+        cases = schema.check(step.get("cases"), dict, f"{where}'cases'")
+        created = schema.check(step.get("created"), [[str]], f"{where}'created'")
+        if len(event) not in (1, 2):
+            raise InputError(f"{where}'event' must list one or two centers")
         if len(created) != len(event):
             raise InputError(
-                f"report step {k}: 'created' has {len(created)} lists for an "
-                f"event of {len(event)} centers"
+                f"{where}'created' has {len(created)} lists for an event of {len(event)} centers"
             )
         first = set(created[0]) if len(event) == 2 else set()
         for sid, labels in cases.items():
-            if (
-                not isinstance(labels, list)
-                or len(labels) != len(event)
-                or not all(isinstance(lab, str) and lab in _LABELS for lab in labels)
-            ):
-                raise InputError(
-                    f"report step {k}: case {sid!r} needs one label per center"
-                )
+            schema.check(labels, [str], f"{where}case {sid!r}")
+            if len(labels) != len(event) or not _LABELS.issuperset(labels):
+                raise InputError(f"{where}case {sid!r} needs one label per center")
             if sid in first:
                 if labels[0] != DISJOINT:
                     raise InputError(
-                        f"report step {k}: piece {sid!r} has a label for the "
-                        "center that made it"
+                        f"{where}piece {sid!r} has a label for the center that made it"
                     )
             elif sid not in known:
                 raise InputError(
-                    f"report step {k}: case id {sid!r} is neither an initial "
-                    "stratum nor created earlier"
+                    f"{where}case id {sid!r} is neither an initial stratum nor created earlier"
                 )
         yield step, present, first
         for nid in (nid for c in created for nid in c):
             if nid in known:
-                raise InputError(f"report step {k}: stratum {nid!r} created twice")
+                raise InputError(f"{where}stratum {nid!r} created twice")
             known.add(nid)
             present.append(nid)
 

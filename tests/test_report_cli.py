@@ -9,6 +9,8 @@ from realwonder.errors import EngineError
 from realwonder.models import build_moduli, parse_sigma
 from realwonder.report import build_report, from_json, render_text, to_json
 
+from conftest import fuzz_mutate
+
 
 def run_report(sigma="(1 2)", n=5):
     result = wonderful_run(build_moduli(parse_sigma(sigma, n)))
@@ -483,32 +485,6 @@ _FUZZ_BASES = [
         ],
     },
 ]
-_FUZZ_VALUES = [None, True, -1, 0, 3.7, 2, "12", "", "x", "1/0", [], {}, [[]], ["1"], [1, 2]]
-
-
-def _fuzz_mutate(rng, data):
-    """data with one field, chosen among all its fields at every depth,
-    dropped, retyped or emptied."""
-    slots = []
-    stack = [data]
-    while stack:
-        node = stack.pop()
-        for key in list(node) if isinstance(node, dict) else range(len(node)):
-            slots.append((node, key))
-            if isinstance(node[key], (dict, list)):
-                stack.append(node[key])
-    if not slots:
-        return data
-    node, key = rng.choice(slots)
-    child = node[key]
-    action = rng.choice(["drop", "retype", "empty"])
-    if action == "drop":
-        del node[key]
-    elif action == "empty" and isinstance(child, (dict, list, str)):
-        node[key] = type(child)()
-    else:
-        node[key] = rng.choice(_FUZZ_VALUES)
-    return data
 
 
 def test_cli_dcp_fuzz(tmp_path, capsys):
@@ -530,7 +506,7 @@ def test_cli_dcp_fuzz(tmp_path, capsys):
     for _ in range(200):
         data = copy.deepcopy(rng.choice(_FUZZ_BASES))
         for _ in range(rng.randint(1, 3)):
-            data = _fuzz_mutate(rng, data)
+            data = fuzz_mutate(rng, data)
         cases.append(data)
     path = tmp_path / "arr.json"
     codes = {}
