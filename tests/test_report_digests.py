@@ -34,6 +34,8 @@ CASES = {
     "fm-n4-P1": lambda: build_fm(4, P1),
     "fm-n5-P1": lambda: build_fm(5, P1),
     "ulyanov-n3-P1": lambda: build_ulyanov(3, P1),
+    "ulyanov-n4-P1": lambda: build_ulyanov(4, P1),
+    "ulyanov-n5-P1": lambda: build_ulyanov(5, P1),
     "kt-n3-P1-chain": lambda: build_kt(3, P1, [[[1, 2, 3]]]),
     "braid-n4-partition": lambda: build_braid(4, "partition"),
     "braid-n4-linear": lambda: build_braid(4, "linear"),
@@ -50,6 +52,8 @@ DIGESTS = {
     "moduli-n6-(1 2)": "97a6b1421028f287087c788f79c021de4d7fb6007247e8d770abdbc883b1129d",
     "moduli-n6-id": "cbc197467fea485200062cd052c77305df25ec995cdd003bb25874f9b5e4459c",
     "ulyanov-n3-P1": "76600d2a47320b939803733e1c3b4168e6d9abe3a0268556619d47598f458e9f",
+    "ulyanov-n4-P1": "24dbbbc4cbdbd3b229bc66c0796cc136aa846be31c6499e026fb0ca852229877",
+    "ulyanov-n5-P1": "8465a7e2d1ba946b43ba47425f576ef395f05f4c13c329dfbc2e2360196d8e83",
 }
 
 
@@ -63,6 +67,8 @@ DIGESTS_V2 = {
     "moduli-n6-(1 2)": "3d6f0b6a7ef3c01047e7e21536a2e1165f99f69ddd55533742a0a2cf56267404",
     "moduli-n6-id": "f9b05486f1ce9e236bffeda0927ad67817301151b85ec2b1d5ae44425b38ec9e",
     "ulyanov-n3-P1": "206195ff7f2dce4ed1d2e3e089c9d0bc8f0c9414883ffb6631794cf3491ecdaf",
+    "ulyanov-n4-P1": "68735428dc426b61806a39860aa2c6f97223e6ebf0658b117e300923e8c6c9c8",
+    "ulyanov-n5-P1": "7737e6ab05d0a2230b9522fb0ed56978b6033b49055d9aa1cb18d33bb1326b6f",
 }
 
 
