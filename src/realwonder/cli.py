@@ -19,7 +19,7 @@ from .arrangement import AMBIENT_ID
 from .engine import wonderful_run
 from .errors import EngineError, InputError, RealWonderError
 from .exact import GaussianRational
-from .flags import read_flags
+from .flags import maximal_problem, read_flags
 from .hilbert import (
     SmithData,
     consistency,
@@ -110,11 +110,14 @@ def _apply_seed_flags(arr, path: str):
     for sid, flags in sorted(data.items()):
         fs = read_flags(flags, f"seed-flags {sid}: ")
         if sid == "ambient":
-            ambient = replace(ambient, flags=fs)
+            ambient = s = replace(ambient, flags=fs)
         elif sid in strata:
-            strata[sid] = replace(strata[sid], flags=fs)
+            strata[sid] = s = replace(strata[sid], flags=fs)
         else:
             raise InputError(f"seed-flags: unknown stratum {sid!r}")
+        problem = maximal_problem(fs, s.defi)
+        if problem:
+            raise InputError(f"seed-flags {sid}: {problem}")
         axioms.append((sid, f"user axiom: {json.dumps(flags, sort_keys=True)}"))
     return replace(arr, ambient=ambient, strata=strata, flag_axioms=tuple(axioms))
 

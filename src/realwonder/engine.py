@@ -194,10 +194,11 @@ def _separation_outcome(ga, gb, gc, sides=None) -> str:
     return "separated"
 
 
-def _elementary(arr: Arrangement, cid: str):
+def _elementary(arr: Arrangement, cid: str, later):
     """Blow up along one invariant-or-pair-member center; returns the
     new arrangement (flags untouched), the case labels and the
-    exceptional pieces made, in id order.
+    exceptional pieces made, in id order.  later holds the strata of
+    the events still to come after this center.
 
     Only the center and the strata of its table row, the touched
     strata, change.  T(S) is the transform of S and E the exceptional
@@ -220,7 +221,18 @@ def _elementary(arr: Arrangement, cid: str):
     that met inside the center are checked for separation in the pass,
     by one lookup in the center's memo of outcomes by pair of shadows.
     Rows are copied on their first change; untouched rows stay shared
-    with the arrangement before the step."""
+    with the arrangement before the step.
+
+    A piece NEW(S) is dead at birth when S is not in later and S's row
+    before the step names no stratum of ahead = later ∩ touched: its
+    row is RetiredRow from the start, and the pass writes none of its
+    entries, in its own row, in another piece's or in a touched row.
+    No later blow-up can read them.  NEW(S)'s row names only S, the
+    pieces of this step (never events) and touched strata that met S;
+    a later step reads only its center's row and the rows of the
+    strata in it, and S lies in row(C) exactly when C lies in row(S);
+    and once made, a row gains only piece keys.  So no later center
+    ever meets NEW(S)."""
     strata = arr.strata
     old_table = arr.table
     center = strata[cid]
@@ -292,8 +304,16 @@ def _elementary(arr: Arrangement, cid: str):
             on_e[sid] = on_e[nid] = nid
             new_defs.append((nid, sid, mid, d_s))
 
+    # the live pieces by source; a dead piece's row is retired at birth
+    ahead = later.intersection(cls)
+    new_table = dict(old_table)  # untouched rows are shared, never mutated
+    piece = {}
     new_defs.sort()
     for nid, sid, mid, d_s in new_defs:
+        if sid in later or not old_table[sid].keys().isdisjoint(ahead):
+            piece[sid] = nid
+        else:
+            new_table[nid] = RetiredRow(nid)
         s, m = strata[sid], strata[mid]
         invariant = s.partner is None and center.partner is None
         bc = call(gp.kunneth, m.betti_c, call(gp.bundle_factor, d_s, 2))
@@ -349,7 +369,6 @@ def _elementary(arr: Arrangement, cid: str):
         return value
 
     touched = [cid] + sorted(center_row)
-    new_table = dict(old_table)  # untouched rows are shared, never mutated
     edited = {}
 
     def edit_row(sid):
@@ -358,14 +377,13 @@ def _elementary(arr: Arrangement, cid: str):
             row = edited[sid] = new_table[sid] = dict(old_table.get(sid, ()))
         return row
 
-    piece = {sid: nid for nid, sid, _, _ in new_defs}
     piece_touched = {nid: {} for nid in piece.values()}  # NEW(S)∧T(S')
     piece_pieces = {nid: {} for nid in piece.values()}  # NEW(S)∧NEW(S')
-    later = set(touched)
-    later_outer = later - inside  # a pair of InsideCenter strata keeps its value
+    rest = set(touched)
+    rest_outer = rest - inside  # a pair of InsideCenter strata keeps its value
     for a in touched:
-        later.discard(a)
-        later_outer.discard(a)
+        rest.discard(a)
+        rest_outer.discard(a)
         ca = cls[a]
         row = old_table.get(a, {})
         row_a = edited.get(a)
@@ -373,7 +391,7 @@ def _elementary(arr: Arrangement, cid: str):
         if na is not None:
             touched_a, pieces_a = piece_touched[na], piece_pieces[na]
         ia = sep_a = None  # a's shadow and outcome row, on a's first separation
-        walk = later_outer if ca is INSIDE else later
+        walk = rest_outer if ca is INSIDE else rest
         for b in filter(walk.__contains__, row):
             m = row[b]
             if m is UNRESOLVED:
@@ -448,7 +466,7 @@ def _elementary(arr: Arrangement, cid: str):
     # touched strata in touched order, then the pieces in id order
     position = {sid: i for i, sid in enumerate(touched)}
     created = [nd[0] for nd in new_defs]
-    for nid, sid, _, _ in new_defs:
+    for sid, nid in piece.items():
         nrow = {sid: nid}
         with_touched = piece_touched[nid]
         for other in sorted(with_touched, key=position.__getitem__):
@@ -552,7 +570,8 @@ def blow_up_step(arr: Arrangement):
     event_bc = gp.ZERO
     for i, cid in enumerate(event):
         event_bc = gp.add(event_bc, cur.strata[cid].betti_c)
-        cur, cls, created = _elementary(cur, cid)
+        # a piece of the first center of a pair exists for the second
+        cur, cls, created = _elementary(cur, cid, remaining.union(event[i + 1 :]))
         created_by.append(tuple(created))
         for sid, label in cls.items():
             case_record.setdefault(sid, [DISJOINT] * len(event))[i] = label
@@ -734,9 +753,14 @@ def _retire(table: dict, sids, remaining: set) -> None:
     the strata in the center's row, and S lies in row(C) exactly when C
     lies in row(S); a row no step touches is shared verbatim, and the
     pieces of a step meet only touched strata, so the row gains no
-    entry either."""
+    entry either.  Rows already retired (pieces dead at birth) stay."""
     for sid in sids:
-        if sid not in remaining and table[sid].keys().isdisjoint(remaining):
+        row = table[sid]
+        if (
+            sid not in remaining
+            and not isinstance(row, RetiredRow)
+            and row.keys().isdisjoint(remaining)
+        ):
             table[sid] = RetiredRow(sid)
 
 
@@ -750,7 +774,8 @@ def _retiring_steps(arr: Arrangement):
     final (a stratum whose row names an event stratum C lies in row(C),
     so the event touched it), so the sweep looks at those alone, in the
     table dict the step made.
-    Steps stay pure: a bare blow_up_step keeps every row."""
+    Steps stay pure: a bare blow_up_step keeps every row but those of
+    the pieces it retires at birth (see _elementary)."""
     remaining = {sid for ev in arr.events for sid in ev}
     table = dict(arr.table)
     _retire(table, arr.table, remaining)

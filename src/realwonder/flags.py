@@ -65,6 +65,16 @@ def read_flags(data, where: str) -> FlagSet:
         raise InputError(f"{where}{exc}") from exc
 
 
+def maximal_problem(flags: FlagSet, defi: int) -> str | None:
+    """Why a declared maximal flag contradicts the Smith-Thom deficiency
+    defi (maximal means deficiency 0), or None."""
+    if flags.maximal is YES and defi != 0:
+        return f"declared maximal with deficiency {defi}"
+    if flags.maximal is NO and defi == 0:
+        return "declared non-maximal with deficiency 0"
+    return None
+
+
 def pair_event_flags() -> FlagSet:
     """Flags of a conj-swapped pair of centers: trivially effective
     (empty fixed locus), never maximal, always Galois maximal (the swap

@@ -31,6 +31,7 @@ from .flags import (
     FlagSet,
     Tri,
     YES,
+    maximal_problem,
     pair_event_flags,
     product_flags,
     read_flags,
@@ -77,11 +78,9 @@ class SpaceData:
         )
         if problems:
             raise InputError(f"{self.name}: " + "; ".join(problems))
-        tc, tr = gp.total(self.betti_c), gp.total(self.betti_r)
-        if self.flags.maximal is YES and tc != tr:
-            raise InputError(f"{self.name}: declared maximal with deficiency {tc - tr}")
-        if self.flags.maximal is Tri.NO and tc == tr:
-            raise InputError(f"{self.name}: declared non-maximal with deficiency 0")
+        problem = maximal_problem(self.flags, gp.total(self.betti_c) - gp.total(self.betti_r))
+        if problem:
+            raise InputError(f"{self.name}: {problem}")
 
     @classmethod
     def projective_space(cls, k: int) -> "SpaceData":
@@ -466,6 +465,8 @@ def _power_factory(space: SpaceData):
 def _config_arrangement(n: int, space: SpaceData, generators) -> Arrangement:
     if n < 2:
         raise InputError("configuration models need n >= 2 points")
+    if space.dim_c < 1:
+        raise InputError(f"configuration models need a space of dim_c >= 1, got {space.dim_c}")
     ambient = Stratum(
         sid=AMBIENT_ID,
         dim_c=space.dim_c * n,

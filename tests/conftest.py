@@ -1,7 +1,10 @@
 """Helpers shared by several test modules (imported as ``conftest``)."""
 
 import copy
+from unittest import mock
 
+from realwonder import engine
+from realwonder.arrangement import RetiredRow
 from realwonder.exact import GaussianRational as gq
 from realwonder.models import build_dcp
 from realwonder.subspaces import ProjSubspace, rnc_points, span_points
@@ -19,6 +22,38 @@ def fixed_dcp():
         ("lz", span_points([z, zbar])),
     ]
     return build_dcp(3, generators)
+
+
+def reference_step(arr):
+    """blow_up_step(arr) with every stratum id passed to _elementary as
+    later, so that no piece is retired at birth: the step whose rows a
+    bare chain's at-birth RetiredRow stands for."""
+    elementary = engine._elementary
+
+    def keeping(a, cid, later):
+        return elementary(a, cid, set(a.strata))
+
+    with mock.patch.object(engine, "_elementary", keeping):
+        return engine.blow_up_step(arr)
+
+
+def check_born_retired(out, trace, reference):
+    """The rows out, the result of a step, retired at birth against
+    reference, the arrangement the same step makes when it retires
+    nothing: each is the row of a piece the step made, and its
+    reference row names no stratum of a later event, so every later
+    center is Disjoint from that piece; every live row of out is its
+    reference row without the dead pieces, in the same order.  Returns
+    the dead pieces."""
+    later = {sid for ev in out.events for sid in ev}
+    dead = {nid for nid in trace.new_strata if isinstance(out.table[nid], RetiredRow)}
+    for sid, row in out.table.items():
+        if sid in dead:
+            assert later.isdisjoint(reference.table[sid])
+        elif not isinstance(row, RetiredRow):
+            kept = [(b, v) for b, v in reference.table[sid].items() if b not in dead]
+            assert list(row.items()) == kept
+    return dead
 
 
 def span_sum(u: ProjSubspace, v: ProjSubspace) -> ProjSubspace:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from realwonder import gradedpoly as gp
-from realwonder.arrangement import AMBIENT_ID, UNRESOLVED
+from realwonder.arrangement import AMBIENT_ID, UNRESOLVED, RetiredRow
 from realwonder.engine import (
     CENTER,
     CONTAINS,
@@ -24,7 +24,7 @@ from realwonder.models import SpaceData, build_dcp, build_fm, build_moduli, pars
 from realwonder.report import build_report, to_v1
 from realwonder.subspaces import rnc_points, span_points
 
-from conftest import fixed_dcp, point
+from conftest import check_born_retired, fixed_dcp, point, reference_step
 
 
 def classify_case(arr, sid, cid):
@@ -344,7 +344,9 @@ def test_sparse_cases_match_classification(build, has_pairs):
     """The v1 report's dense cases equal classify_case on every stratum
     present before each event (for a pair, against the second center
     on the arrangement after the first), and the trace records no
-    stratum that every center of its event missed."""
+    stratum that every center of its event missed.  A piece the bare
+    chain retired at birth is Disjoint from every later center: its
+    reference row names no later event stratum (check_born_retired)."""
     from realwonder import engine
 
     res = wonderful_run(build())
@@ -352,18 +354,25 @@ def test_sparse_cases_match_classification(build, has_pairs):
     assert len(steps) == len(res.traces)
     arr = build()
     pairs = 0
+    dead = set()
+
+    def case(a, sid, cid):
+        return DISJOINT if sid in dead else classify_case(a, sid, cid)
+
     for k, trace in enumerate(res.traces):
         event = arr.events[0]
-        expected = {sid: [classify_case(arr, sid, event[0])] for sid in arr.strata}
+        expected = {sid: [case(arr, sid, event[0])] for sid in arr.strata}
         if len(event) == 2:
             pairs += 1
-            mid, _, _ = engine._elementary(arr, event[0])
+            mid, _, _ = engine._elementary(arr, event[0], set(arr.strata))
             for sid in mid.strata:
-                expected.setdefault(sid, []).append(classify_case(mid, sid, event[1]))
+                expected.setdefault(sid, []).append(case(mid, sid, event[1]))
         assert steps[k]["cases"] == expected
         assert all(set(labels) != {DISJOINT} for labels in trace.cases.values())
         assert all(len(labels) == len(event) for labels in trace.cases.values())
-        arr, _ = blow_up_step(arr)
+        reference, _ = reference_step(arr)
+        arr, step_trace = blow_up_step(arr)
+        dead |= check_born_retired(arr, step_trace, reference)
     assert bool(pairs) == has_pairs
 
 
@@ -530,8 +539,8 @@ def _corrupt_at_step(monkeypatch, arr, k, pick, corrupt):
         steps.append(a.events[0])
         return step(a)
 
-    def corrupting(a, cid):
-        out, cls, created = elementary(a, cid)
+    def corrupting(a, cid, later):
+        out, cls, created = elementary(a, cid, later)
         if len(steps) == k and not picked:
             sid = pick(out, cls, cid)
             picked.append(sid)
@@ -679,11 +688,13 @@ _TABLE_MODELS = _table_models()
     "build", [b for _, b in _TABLE_MODELS], ids=[n for n, _ in _TABLE_MODELS]
 )
 def test_table_invariants_every_center(build):
-    """At every center of every step: the table is symmetric with no
-    self entries, names only live strata (or UNRESOLVED), gives each new
-    piece the row of the reference formula, in the same order, and
-    shares with the arrangement before the center every row outside
-    the center and its row."""
+    """At every center of every step, with no piece retired at birth:
+    the table is symmetric with no self entries, names only live strata
+    (or UNRESOLVED), gives each new piece the row of the reference
+    formula, in the same order, and shares with the arrangement before
+    the center every row outside the center and its row.  The step
+    itself equals that chain of centers up to the pieces it retired at
+    birth (check_born_retired)."""
     from realwonder import engine
 
     arr = build()
@@ -691,11 +702,13 @@ def test_table_invariants_every_center(build):
     while arr.events:
         cur = arr
         for cid in arr.events[0]:
-            after, cls, created = engine._elementary(cur, cid)
+            after, cls, created = engine._elementary(cur, cid, set(cur.strata))
             centers += 1
             table = after.table
             assert set(table) == set(after.strata)
             for a, row in table.items():
+                if isinstance(row, RetiredRow):
+                    continue  # retired at birth in an earlier step
                 assert a not in row
                 for b, v in row.items():
                     assert b in after.strata
@@ -708,10 +721,9 @@ def test_table_invariants_every_center(build):
                 if sid not in touched:
                     assert table[sid] is row
             cur = after
-        arr, _ = blow_up_step(arr)
-        assert {sid: list(row.items()) for sid, row in arr.table.items()} == {
-            sid: list(row.items()) for sid, row in cur.table.items()
-        }
+        arr, trace = blow_up_step(arr)
+        assert set(arr.table) == set(cur.table)
+        check_born_retired(arr, trace, cur)
     assert centers == sum(len(ev) for ev in build().events)
 
 
@@ -733,7 +745,7 @@ def test_unresolved_touched_pair_keeps_its_marker():
     table = {sid: dict(r) for sid, r in arr.table.items()}
     table[a][b] = table[b][a] = UNRESOLVED
     before = replace(arr, table=table)
-    after, cls, created = engine._elementary(before, cid)
+    after, cls, created = engine._elementary(before, cid, set(before.strata))
     assert after.table[a][b] is UNRESOLVED and after.table[b][a] is UNRESOLVED
     pieces = [nid for nid in created if nid.rsplit("^", 1)[0] in (a, b)]
     assert pieces

@@ -153,6 +153,10 @@ _FM3 = ["config", "--model", "fm", "--n", "3", "--space", None]
             {**_P1, "betti_c": [], "betti_r": [], "real_nonempty": False},
             "P1: empty complex Betti vector",
         ),
+        (
+            {"dim_c": 0, "betti_c": [1], "betti_r": [1]},
+            "configuration models need a space of dim_c >= 1, got 0",
+        ),
     ],
     ids=[
         "misspelt-key",
@@ -163,6 +167,7 @@ _FM3 = ["config", "--model", "fm", "--n", "3", "--space", None]
         "bad-flag-value",
         "string-dim",
         "empty-space",
+        "point-factor",
     ],
 )
 def test_config_space_refused(tmp_path, capsys, space, message):
@@ -224,6 +229,31 @@ def test_hilb2_file_rank_mu_null_is_absent(tmp_path, capsys):
 def test_seed_flags_refused(tmp_path, capsys, flags, message):
     code, err = _main(tmp_path, capsys, ["moduli", "--n", "5", "--seed-flags", None], flags)
     assert code == 2 and err.startswith(f"input error: {message}"), err
+
+
+_NOT_MAXIMAL = {"maximal": "no"}
+
+
+@pytest.mark.parametrize(
+    "argv, flags, message",
+    [
+        (["moduli", "--n", "5"], {"ambient": _NOT_MAXIMAL}, "ambient: declared non-maximal"),
+        (["moduli", "--n", "4"], {"ambient": _NOT_MAXIMAL}, "ambient: declared non-maximal"),
+        (["moduli", "--n", "5"], {"s1": _NOT_MAXIMAL}, "s1: declared non-maximal"),
+        (None, {"ambient": {"maximal": "yes"}}, "ambient: declared maximal with deficiency 12"),
+    ],
+    ids=["moduli-n5-ambient-no", "moduli-n4-ambient-no", "moduli-n5-s1-no", "fm-n2-ambient-yes"],
+)
+def test_seed_flags_maximal_against_deficiency(tmp_path, capsys, argv, flags, message):
+    """A declared maximal flag must agree with the stratum's deficiency:
+    maximal=no with deficiency 0, or maximal=yes with a positive one (the
+    square of a surface of deficiency 2), is an input error, by the rule
+    a space file's flags follow."""
+    if argv is None:
+        surface = {"name": "E", "dim_c": 2, "betti_c": [1, 0, 2, 0, 1], "betti_r": [1, 0, 1]}
+        argv = ["config", "--model", "fm", "--n", "2", "--space", _space_file(tmp_path, surface)]
+    code, err = _main(tmp_path, capsys, argv + ["--seed-flags", None], flags)
+    assert code == 2 and err.startswith(f"input error: seed-flags {message}"), err
 
 
 @pytest.mark.parametrize(

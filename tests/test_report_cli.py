@@ -756,8 +756,8 @@ def test_cli_engine_guard_names_the_step(monkeypatch, capsys):
     calls = []
     elementary = engine._elementary
 
-    def corrupting(a, cid):
-        out, cls, created = elementary(a, cid)
+    def corrupting(a, cid, later):
+        out, cls, created = elementary(a, cid, later)
         calls.append(cid)
         if len(calls) == 4:
             strata = dict(out.strata)

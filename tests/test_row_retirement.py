@@ -2,9 +2,10 @@
 
 A run retires each table row that no later blow-up can read: its
 stratum is in no remaining event and it names no remaining event
-stratum.  These tests step a plain blow_up_step chain, which keeps
-every row, beside the run's retiring loop, and check that a retired row
-is final and that reading one is an internal error.
+stratum.  A step retires at birth the rows of the pieces no later
+event can meet.  These tests step a plain blow_up_step chain, which
+keeps every other row, beside the run's retiring loop, and check that a
+retired row is final and that reading one is an internal error.
 """
 
 import re
@@ -28,7 +29,7 @@ from realwonder.models import (
 )
 from realwonder.subspaces import rnc_points, span_points
 
-from conftest import fixed_dcp
+from conftest import check_born_retired, fixed_dcp, reference_step
 
 P1 = SpaceData.projective_space(1)
 
@@ -60,19 +61,25 @@ def test_retiring_run_matches_full_chain(name):
     and names no stratum of one in the full chain's table, where it is
     the very row it was when retired; every live row equals the full
     chain's row, with the same items in the same order; the traces are
-    equal; and at the end no row is live."""
+    equal; and at the end no row is live.  The full chain retires the
+    rows of the pieces dead at birth too: for those, the row a step
+    that retires nothing makes names no later event stratum
+    (check_born_retired)."""
     arr = MODELS[name]()
     initial = {sid: list(row.items()) for sid, row in arr.table.items()}
     steps = engine._retiring_steps(arr)
     cur, _ = next(steps)
     full = arr
     frozen = {}  # retired sid -> the full chain's row at retirement
+    born = set()  # the pieces retired at birth
     retired_mid_run = 0
     for k in range(len(arr.events) + 1):
         if k:
             cur, trace = next(steps)
+            reference, _ = reference_step(full)
             full, full_trace = blow_up_step(full)
             assert trace == full_trace
+            born |= check_born_retired(full, full_trace, reference)
         later = {sid for ev in arr.events[k:] for sid in ev}
         assert cur.strata == full.strata
         assert list(cur.table) == list(full.table)
@@ -84,7 +91,8 @@ def test_retiring_run_matches_full_chain(name):
                     retired_mid_run += bool(later)
                 assert full.table[sid] is frozen[sid]
                 assert sid not in later
-                assert later.isdisjoint(frozen[sid])
+                if sid not in born:
+                    assert later.isdisjoint(frozen[sid])
             else:
                 assert sid not in frozen
                 assert list(row.items()) == list(full.table[sid].items())
@@ -93,7 +101,32 @@ def test_retiring_run_matches_full_chain(name):
     assert set(frozen) == set(cur.strata)
     assert {sid: list(row.items()) for sid, row in arr.table.items()} == initial
     if name.startswith("fm-"):
-        assert retired_mid_run
+        assert retired_mid_run and born
+
+
+def test_first_center_of_a_pair_passes_the_second_as_later(monkeypatch):
+    """Each center's later set holds the strata of the events after its
+    event and, for the first center of a pair, the second center, which
+    may meet the first center's pieces."""
+    calls = []
+    elementary = engine._elementary
+
+    def recording(a, cid, later):
+        calls.append((a.events, cid, set(later)))
+        return elementary(a, cid, later)
+
+    monkeypatch.setattr(engine, "_elementary", recording)
+    assert cli.main(["moduli", "--n", "6", "--sigma", "(1 2)"]) == 0
+    firsts = 0
+    for events, cid, later in calls:
+        event = events[0]
+        rest = {sid for ev in events[1:] for sid in ev}
+        if len(event) == 2 and cid == event[0]:
+            firsts += 1
+            assert later == rest | {event[1]}
+        else:
+            assert later == rest
+    assert firsts and len(calls) == sum(len(ev) for ev in calls[0][0])
 
 
 def test_retired_row_read_raises():
