@@ -31,6 +31,8 @@ P1 = SpaceData.projective_space(1)
 CASES = {
     "moduli-n6-id": lambda: build_moduli(parse_sigma("id", 6)),
     "moduli-n6-(1 2)": lambda: build_moduli(parse_sigma("(1 2)", 6)),
+    "moduli-n7-id": lambda: build_moduli(parse_sigma("id", 7)),
+    "moduli-n7-(1 2)(3 4)": lambda: build_moduli(parse_sigma("(1 2)(3 4)", 7)),
     "fm-n4-P1": lambda: build_fm(4, P1),
     "fm-n5-P1": lambda: build_fm(5, P1),
     "ulyanov-n3-P1": lambda: build_ulyanov(3, P1),
@@ -51,6 +53,8 @@ DIGESTS = {
     "kt-n3-P1-chain": "3769a567818dad4fb5b4a4737723d8936c8d1ec2eee80aa001463112754b18d7",
     "moduli-n6-(1 2)": "97a6b1421028f287087c788f79c021de4d7fb6007247e8d770abdbc883b1129d",
     "moduli-n6-id": "cbc197467fea485200062cd052c77305df25ec995cdd003bb25874f9b5e4459c",
+    "moduli-n7-(1 2)(3 4)": "da3cd7f6d0da729e3a5b30bde0b057a2ac16230fbaeaec4c97f9e3ec4a3b9fc0",
+    "moduli-n7-id": "f7089ee1df6023b5d642c7b8cfeabe27101de29eb18bdf9de39f15694ef55ccb",
     "ulyanov-n3-P1": "76600d2a47320b939803733e1c3b4168e6d9abe3a0268556619d47598f458e9f",
     "ulyanov-n4-P1": "24dbbbc4cbdbd3b229bc66c0796cc136aa846be31c6499e026fb0ca852229877",
     "ulyanov-n5-P1": "8465a7e2d1ba946b43ba47425f576ef395f05f4c13c329dfbc2e2360196d8e83",
@@ -66,6 +70,8 @@ DIGESTS_V2 = {
     "kt-n3-P1-chain": "f32dab6e9ffccbfd2612c58d21da8c4df56a88b8c67a9a374356600e9b510554",
     "moduli-n6-(1 2)": "3d6f0b6a7ef3c01047e7e21536a2e1165f99f69ddd55533742a0a2cf56267404",
     "moduli-n6-id": "f9b05486f1ce9e236bffeda0927ad67817301151b85ec2b1d5ae44425b38ec9e",
+    "moduli-n7-(1 2)(3 4)": "acc18dacef1ce782fa00538a3a38a0f6db5ec4d5d157cf667aa925499b5e232f",
+    "moduli-n7-id": "113a9c07bdb23ac7bfd864a9215fae53a2a08551cee3cb1ceb71e237755c780f",
     "ulyanov-n3-P1": "206195ff7f2dce4ed1d2e3e089c9d0bc8f0c9414883ffb6631794cf3491ecdaf",
     "ulyanov-n4-P1": "68735428dc426b61806a39860aa2c6f97223e6ebf0658b117e300923e8c6c9c8",
     "ulyanov-n5-P1": "7737e6ab05d0a2230b9522fb0ed56978b6033b49055d9aa1cb18d33bb1326b6f",
