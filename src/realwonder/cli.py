@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -66,6 +67,26 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: bad JSON: {exc}") from exc
+
+
+def _check_machine(path) -> None:
+    """Refuse a --machine path that cannot name a new file, before any
+    run: a directory, or a file in a directory that does not exist."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise InputError(f"cannot write {path}: no directory {folder}")
+
+
+def _write_machine(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _literals(values, name: str) -> list:
@@ -130,8 +151,7 @@ def _run(arr, model: dict, args) -> int:
     report = build_report(model, wonderful_run(arr))
     sys.stdout.write(render_text(report, trace=args.trace))
     if args.machine:
-        with open(args.machine, "w", encoding="utf-8") as handle:
-            handle.write(to_json(report))
+        _write_machine(args.machine, to_json(report))
     return EXIT_OK
 
 
@@ -204,8 +224,7 @@ def cmd_hilb2(args) -> int:
         )
     sys.stdout.write("\n".join(lines) + "\n")
     if args.machine:
-        with open(args.machine, "w", encoding="utf-8") as handle:
-            handle.write(to_json(out))
+        _write_machine(args.machine, to_json(out))
     return EXIT_OK
 
 
@@ -292,6 +311,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        _check_machine(getattr(args, "machine", None))
         return commands[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")

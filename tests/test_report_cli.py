@@ -796,3 +796,39 @@ def test_cli_touching_pair_guard_names_the_step(tmp_path, capsys):
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith(f"engine guard: step {k} (A+Abar): invariant stratum ")
     assert "meets the intersecting conjugate pair ('A', 'Abar')" in first
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["moduli", "--n", "4", "--machine"], "/nonexistent/x.json"),
+        (["moduli", "--n", "4", "--machine"], "{tmp}"),
+        (["hilb2", "--report", "R", "--machine"], "/nonexistent/y.json"),
+    ],
+    ids=["moduli-missing-directory", "moduli-directory", "hilb2-missing-directory"],
+)
+def test_cli_machine_path_refused_before_the_run(tmp_path, monkeypatch, capsys, argv, path):
+    """A --machine path in a missing directory, or a directory, exits 2
+    with a message naming it, before the model is run or the report read."""
+    path = path.format(tmp=tmp_path)
+
+    def never(*_):
+        raise AssertionError("ran although the --machine path cannot be written")
+
+    monkeypatch.setattr(cli, "wonderful_run", never)
+    monkeypatch.setattr(cli, "from_json", never)
+    assert cli.main(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+def test_cli_machine_write_error_exits_2(tmp_path, capsys):
+    """A --machine path that passes the early check but cannot be opened
+    (here a file name too long for the file system) exits 2 at write
+    time, naming the path, and writes no partial report."""
+    path = tmp_path / ("x" * 300)
+    assert cli.main(["moduli", "--n", "4", "--machine", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {path}: ")
+    assert "Traceback" not in err and os.listdir(tmp_path) == []
