@@ -5,7 +5,8 @@ a new one.  The intersection table is sparse (only nonempty meets are
 stored) and may contain UNRESOLVED markers for pairs the incremental
 rules cannot express; reading such an entry aborts the run honestly.
 A run retires the rows no later blow-up reads (RetiredRow), and reading
-one of those aborts too.
+one of those aborts too; it packs the rows no blow-up reads within the
+next few events into two tuples (PackedRow), which read as the dict.
 """
 
 from __future__ import annotations
@@ -54,6 +55,39 @@ class RetiredRow:
         raise InternalCheckError(f"read of the retired table row {self.sid}")
 
     get = keys = values = items = __iter__ = __contains__ = __getitem__
+
+
+class PackedRow:
+    """The table row of a stratum that no blow-up reads within the next
+    few events, in place of its dict: a run packs those rows (see
+    engine._retire) into two tuples, the keys and the meets, in the
+    row's own order, which take about half the memory of the dict.  It
+    answers the reads the package makes of a row as the dict it packs
+    did, in the same order: iteration, items, get, in and len; get and
+    in scan the keys.  Nothing mutates it: a step that changes the row
+    builds a dict from items()."""
+
+    __slots__ = ("sids", "meets")
+
+    def __init__(self, row: dict):
+        self.sids = tuple(row)
+        self.meets = tuple(row.values())
+
+    def __len__(self):
+        return len(self.sids)
+
+    def __iter__(self):
+        return iter(self.sids)
+
+    def __contains__(self, sid):
+        return sid in self.sids
+
+    def items(self):
+        return zip(self.sids, self.meets)
+
+    def get(self, sid, default=None):
+        sids = self.sids
+        return self.meets[sids.index(sid)] if sid in sids else default
 
 
 @dataclass(frozen=True)
@@ -157,7 +191,8 @@ class PayloadMemo:
 class Arrangement:
     ambient: Stratum
     strata: dict
-    # sid -> {other_sid: meet_sid | UNRESOLVED} or RetiredRow; symmetric, sparse
+    # sid -> {other_sid: meet_sid | UNRESOLVED}, PackedRow or RetiredRow;
+    # symmetric, sparse
     table: dict
     building_set: tuple = ()
     events: tuple = ()

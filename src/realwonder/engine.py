@@ -34,10 +34,12 @@ the run only if actually consulted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from . import gradedpoly as gp
 from .arrangement import (
     Arrangement,
+    PackedRow,
     PayloadMemo,
     REAL,
     RetiredRow,
@@ -66,6 +68,27 @@ INSIDE = "InsideCenter"
 CONTAINS = "ContainsCenter"
 PROPER = "ProperMeet"
 CENTER = "Center"
+
+# The events a packed row is not read within: a run packs the row of a
+# stratum when neither it nor any key of its row is a stratum of the
+# next PACK_AHEAD events (see _retire).  Sized by measurement: 3 to 5
+# gave the lowest peak memory on M̅0,8, M̅0,9 and fm-n6; 10 and more
+# pack fewer rows and raised fm-n6 through allocator layout.
+PACK_AHEAD = 5
+
+
+def _row(table: dict, sid: str) -> dict:
+    """sid's table row for reads by key: a packed row unpacked into a
+    dict, and a missing one empty."""
+    row = table.get(sid, {})
+    return dict(row.items()) if type(row) is PackedRow else row
+
+
+def _names_none(row, sids: set) -> bool:
+    """Whether a live row, a dict or packed, names no stratum of sids."""
+    if type(row) is PackedRow:
+        return sids.isdisjoint(row)
+    return row.keys().isdisjoint(sids)
 
 
 def _case_of_meet(sid: str, cid: str, m) -> str:
@@ -220,8 +243,9 @@ def _elementary(arr: Arrangement, cid: str, later):
     an InsideCenter stratum walks only to the others.  Two transforms
     that met inside the center are checked for separation in the pass,
     by one lookup in the center's memo of outcomes by pair of shadows.
-    Rows are copied on their first change; untouched rows stay shared
-    with the arrangement before the step.
+    Rows are copied on their first change, and a packed row (see
+    _retire) is walked as its two tuples and becomes a dict then;
+    untouched rows stay shared with the arrangement before the step.
 
     A piece NEW(S) is dead at birth when S is not in later and S's row
     before the step names no stratum of ahead = later ∩ touched: its
@@ -247,7 +271,7 @@ def _elementary(arr: Arrangement, cid: str, later):
     # an untouched stratum), so only the center and its table row, the
     # "touched" strata, are classified and recomputed; a stratum absent
     # from cls is Disjoint
-    center_row = old_table.get(cid, {})
+    center_row = _row(old_table, cid)
     cls = {cid: CENTER}
     for sid, m in center_row.items():
         if m is UNRESOLVED:
@@ -310,7 +334,7 @@ def _elementary(arr: Arrangement, cid: str, later):
     piece = {}
     new_defs.sort()
     for nid, sid, mid, d_s in new_defs:
-        if sid in later or not old_table[sid].keys().isdisjoint(ahead):
+        if sid in later or not _names_none(old_table[sid], ahead):
             piece[sid] = nid
         else:
             new_table[nid] = RetiredRow(nid)
@@ -347,6 +371,7 @@ def _elementary(arr: Arrangement, cid: str, later):
 
     # the strata by their meet with the center and their dimension
     by_center_meet = {(cid, center.dim_c): [cid]}
+    unpacked = {}  # the packed old rows read by key, as dicts
     for sid, m in center_row.items():
         by_center_meet.setdefault((m, strata[sid].dim_c), []).append(sid)
 
@@ -359,11 +384,17 @@ def _elementary(arr: Arrangement, cid: str, later):
         dimension (clean intersections make the normal bundles agree);
         anything else stays unresolved."""
         target = strata[m].dim_c + strata[big].dim_c - strata[center_row[big]].dim_c
-        candidates = [
-            s
-            for s in by_center_meet.get((m, target), ())
-            if s == big or old_table[s].get(big) == s
-        ]
+        candidates = []
+        for s in by_center_meet.get((m, target), ()):
+            if s != big:
+                row = old_table[s]
+                if type(row) is PackedRow:
+                    row = unpacked.get(s)
+                    if row is None:
+                        row = unpacked[s] = dict(old_table[s].items())
+                if row.get(big) != s:
+                    continue
+            candidates.append(s)
         value = on_e[candidates[0]] if len(candidates) == 1 else UNRESOLVED
         restrictions[(m, big)] = value
         return value
@@ -374,7 +405,13 @@ def _elementary(arr: Arrangement, cid: str, later):
     def edit_row(sid):
         row = edited.get(sid)
         if row is None:
-            row = edited[sid] = new_table[sid] = dict(old_table.get(sid, ()))
+            old = unpacked.get(sid)
+            if old is None:
+                old = old_table.get(sid, {})
+                if type(old) is PackedRow:
+                    old = old.items()
+            row = dict(old)
+            edited[sid] = new_table[sid] = row
         return row
 
     piece_touched = {nid: {} for nid in piece.values()}  # NEW(S)∧T(S')
@@ -392,8 +429,7 @@ def _elementary(arr: Arrangement, cid: str, later):
             touched_a, pieces_a = piece_touched[na], piece_pieces[na]
         ia = sep_a = None  # a's shadow and outcome row, on a's first separation
         walk = rest_outer if ca is INSIDE else rest
-        for b in filter(walk.__contains__, row):
-            m = row[b]
+        for b, m in compress(row.items(), map(walk.__contains__, row)):
             if m is UNRESOLVED:
                 value = m
             elif ca is CENTER:
@@ -530,10 +566,12 @@ def blow_up_step(arr: Arrangement):
 
     d = arr.codim(event[0])
     # a remaining event stratum inside the center meets it, so it is in
-    # the center's table row
+    # the center's table row, which holds their meet (the table is
+    # symmetric); an unresolved meet raises in Arrangement.meet
     remaining = {sid for ev in arr.events[1:] for sid in ev}
-    for b in arr.table.get(event[0], ()):
-        if b in remaining and arr.leq(b, event[0]):
+    center_row = _row(arr.table, event[0])
+    for b, m in center_row.items():
+        if b in remaining and (m == b or m is UNRESOLVED and arr.leq(b, event[0])):
             raise EngineError(f"center {event[0]} is not minimal: contains {b}")
 
     is_pair = len(event) == 2
@@ -596,7 +634,7 @@ def blow_up_step(arr: Arrangement):
         if any(lab in (INSIDE, CENTER) for lab in labels):
             new_strata[sid] = _with_flags(s_new, bundle_flags(s_old.flags))
         elif any(lab in (CONTAINS, PROPER) for lab in labels):
-            mid = arr.meet(sid, event[0])
+            mid = center_row[sid]  # resolved: the first center read it
             m_old = strata[mid]
             d_s = s_old.dim_c - m_old.dim_c
             if is_pair:
@@ -658,7 +696,7 @@ def _guard_touching_pair(arr: Arrangement, event, wid: str, d: int):
         )
     # the strata that meet the first center are those of its row, walked
     # in strata order so that the first offender is the same
-    for sid in filter(arr.table[event[0]].__contains__, arr.strata):
+    for sid in filter(_row(arr.table, event[0]).__contains__, arr.strata):
         if sid in event or sid == wid:
             continue
         if arr.strata[sid].partner is None:
@@ -746,45 +784,68 @@ def _check_step(before: Arrangement, arr: Arrangement, trace: StepTrace):
         raise InternalCheckError("non-maximal flag with zero deficiency")
 
 
-def _retire(table: dict, sids, remaining: set) -> None:
-    """Retire in place the row of each of sids whose stratum is in no
-    remaining event and that names no remaining event stratum: no later
-    blow-up reads it.  A step reads only the rows of its center and of
-    the strata in the center's row, and S lies in row(C) exactly when C
-    lies in row(S); a row no step touches is shared verbatim, and the
-    pieces of a step meet only touched strata, so the row gains no
-    entry either.  Rows already retired (pieces dead at birth) stay."""
+def _retire(table: dict, sids, remaining: set, window: set) -> None:
+    """Sort in place the row of each of sids into its tier; remaining
+    holds the strata of the events still to come, and window those of
+    the next PACK_AHEAD of them.
+    - A row whose stratum is in no remaining event and that names no
+      remaining event stratum is final: it becomes RetiredRow.
+    - Otherwise a dict row whose stratum is not in window and that names
+      no stratum of window is cold: it becomes PackedRow.
+    - Any other row stays as it is.
+    Both rules rest on the same facts.  A step reads row(S) only when S
+    is its center or lies in the center's row, that is, when the center
+    lies in row(S) (the table is symmetric).  A row no step touches is
+    shared verbatim, and a row gains only piece keys (the pieces of a
+    step meet only touched strata), and pieces are never events.  So a
+    final row is never read again, and a packed row is not read for
+    PACK_AHEAD events.  Correctness never depends on PACK_AHEAD: a
+    packed row that is read sooner is only slower to read.  A packed row
+    a step read but did not change stays packed until it is final.
+    Rows already retired (pieces dead at birth) stay."""
     for sid in sids:
         row = table[sid]
-        if (
-            sid not in remaining
-            and not isinstance(row, RetiredRow)
-            and row.keys().isdisjoint(remaining)
-        ):
+        kind = type(row)
+        if kind is dict:
+            keys = row.keys()
+            if sid not in remaining and keys.isdisjoint(remaining):
+                table[sid] = RetiredRow(sid)
+            elif sid not in window and keys.isdisjoint(window):
+                table[sid] = PackedRow(row)
+        elif kind is PackedRow and sid not in remaining and remaining.isdisjoint(row):
             table[sid] = RetiredRow(sid)
+
+
+def _window(events) -> set:
+    """The strata of the first PACK_AHEAD of events."""
+    return {sid for ev in events[:PACK_AHEAD] for sid in ev}
 
 
 def _retiring_steps(arr: Arrangement):
     """Blow up the events of arr in order, retiring every table row that
-    no later event reads; yields (arrangement, trace), first (arr with
-    the rows final before any event retired, None), then once per event.
+    no later event reads and packing every row that none of the next
+    PACK_AHEAD events reads (see _retire); yields (arrangement, trace),
+    first (arr with its rows sorted before any event, None), then once
+    per event.
 
     The first sweep works on a copy of arr's table, which stays whole.
-    After an event only the rows it touched or made can have become
-    final (a stratum whose row names an event stratum C lies in row(C),
+    After an event only the rows it touched or made can have changed
+    tier (a stratum whose row names an event stratum C lies in row(C),
     so the event touched it), so the sweep looks at those alone, in the
     table dict the step made.
-    Steps stay pure: a bare blow_up_step keeps every row but those of
-    the pieces it retires at birth (see _elementary)."""
+    Steps stay pure: a bare blow_up_step packs no row and keeps every
+    row but those of the pieces it retires at birth (see _elementary),
+    and nothing mutates a packed row."""
     remaining = {sid for ev in arr.events for sid in ev}
     table = dict(arr.table)
-    _retire(table, arr.table, remaining)
+    _retire(table, arr.table, remaining, _window(arr.events))
     cur = replace(arr, table=table)
     yield cur, None
     while cur.events:
         cur, trace = blow_up_step(cur)
         remaining.difference_update(trace.event)
-        _retire(cur.table, trace.cases.keys() | trace.new_strata, remaining)
+        changed = trace.cases.keys() | trace.new_strata
+        _retire(cur.table, changed, remaining, _window(cur.events))
         yield cur, trace
 
 

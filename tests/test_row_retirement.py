@@ -1,11 +1,14 @@
-"""Row retirement in the wonderful run.
+"""Row retirement and row packing in the wonderful run.
 
 A run retires each table row that no later blow-up can read: its
 stratum is in no remaining event and it names no remaining event
 stratum.  A step retires at birth the rows of the pieces no later
-event can meet.  These tests step a plain blow_up_step chain, which
-keeps every other row, beside the run's retiring loop, and check that a
-retired row is final and that reading one is an internal error.
+event can meet.  A run packs each other row that none of the next
+PACK_AHEAD events reads into two tuples.  These tests step a plain
+blow_up_step chain, which keeps every other row as a dict, beside the
+run's retiring loop, and check that a retired row is final, that a
+packed row is cold when packed and reads as its dict, and that reading
+a retired row is an internal error.
 """
 
 import re
@@ -13,7 +16,7 @@ import re
 import pytest
 
 from realwonder import cli, engine
-from realwonder.arrangement import RetiredRow
+from realwonder.arrangement import UNRESOLVED, PackedRow, RetiredRow
 from realwonder.engine import blow_up_step, wonderful_run
 from realwonder.errors import InternalCheckError, UnsupportedExcessIntersection
 from realwonder.exact import GaussianRational as gq
@@ -46,8 +49,10 @@ MODELS = {
     "fm-n5-P1": lambda: build_fm(5, P1),
     "moduli-n6-id": lambda: build_moduli(parse_sigma("id", 6)),
     "moduli-n6-(1 2)": lambda: build_moduli(parse_sigma("(1 2)", 6)),
+    "moduli-n7-id": lambda: build_moduli(parse_sigma("id", 7)),
     "kt-n3-P1-chain": lambda: build_kt(3, P1, [[[1, 2, 3]]]),
     "ulyanov-n3-P1": lambda: build_ulyanov(3, P1),
+    "ulyanov-n5-P1": lambda: build_ulyanov(5, P1),
     "braid-n4-partition": lambda: build_braid(4, "partition"),
     "braid-n4-linear": lambda: build_braid(4, "linear"),
     "dcp-fixed": fixed_dcp,
@@ -60,11 +65,12 @@ def test_retiring_run_matches_full_chain(name):
     """After each event k: a row retired so far is in no event after k
     and names no stratum of one in the full chain's table, where it is
     the very row it was when retired; every live row equals the full
-    chain's row, with the same items in the same order; the traces are
-    equal; and at the end no row is live.  The full chain retires the
-    rows of the pieces dead at birth too: for those, the row a step
-    that retires nothing makes names no later event stratum
-    (check_born_retired)."""
+    chain's row, dict or packed, with the same items in the same order;
+    a row packed after event k is not in events k+1..k+PACK_AHEAD and
+    names no stratum of theirs; the traces are equal; and at the end no
+    row is live.  The full chain retires the rows of the pieces dead at
+    birth too: for those, the row a step that retires nothing makes
+    names no later event stratum (check_born_retired)."""
     arr = MODELS[name]()
     initial = {sid: list(row.items()) for sid, row in arr.table.items()}
     steps = engine._retiring_steps(arr)
@@ -73,6 +79,7 @@ def test_retiring_run_matches_full_chain(name):
     frozen = {}  # retired sid -> the full chain's row at retirement
     born = set()  # the pieces retired at birth
     retired_mid_run = 0
+    before = {}  # the run's table after the event before
     for k in range(len(arr.events) + 1):
         if k:
             cur, trace = next(steps)
@@ -81,9 +88,12 @@ def test_retiring_run_matches_full_chain(name):
             assert trace == full_trace
             born |= check_born_retired(full, full_trace, reference)
         later = {sid for ev in arr.events[k:] for sid in ev}
+        window = {sid for ev in arr.events[k : k + engine.PACK_AHEAD] for sid in ev}
         assert cur.strata == full.strata
         assert list(cur.table) == list(full.table)
         for sid, row in cur.table.items():
+            if isinstance(row, PackedRow) and before.get(sid) is not row:
+                assert sid not in window and window.isdisjoint(row)
             if isinstance(row, RetiredRow):
                 assert row.sid == sid
                 if sid not in frozen:
@@ -96,12 +106,57 @@ def test_retiring_run_matches_full_chain(name):
             else:
                 assert sid not in frozen
                 assert list(row.items()) == list(full.table[sid].items())
+        before = dict(cur.table)
     assert next(steps, None) is None
     assert not cur.events
     assert set(frozen) == set(cur.strata)
     assert {sid: list(row.items()) for sid, row in arr.table.items()} == initial
     if name.startswith("fm-"):
         assert retired_mid_run and born
+
+
+def test_packed_row_reads_as_its_dict():
+    """Every read the package makes of a row answers on a PackedRow as on
+    the dict it packs, in the same order: iteration, items, get with and
+    without a default, in and len; a step's dict is rebuilt from items."""
+    row = {"b": "m1", "a": "a", "c": "m1", "d": UNRESOLVED}
+    packed = PackedRow(row)
+    assert list(packed) == list(row)
+    assert list(packed.items()) == list(row.items())
+    assert len(packed) == len(row)
+    for sid in [*row, "x", ""]:
+        assert (sid in packed) is (sid in row)
+        assert packed.get(sid) is row.get(sid)
+        assert packed.get(sid, "none") is row.get(sid, "none")
+    assert dict(packed.items()) == row and list(dict(packed.items())) == list(row)
+    empty = PackedRow({})
+    assert len(empty) == 0 and list(empty) == [] and empty.get("a") is None
+
+
+@pytest.mark.parametrize("name", ["moduli-n7-id", "fm-n5-P1", "ulyanov-n5-P1"])
+def test_cold_rows_are_packed(name):
+    """A run packs rows on models with more events than PACK_AHEAD,
+    and a bare blow_up_step packs none."""
+    arr = MODELS[name]()
+    assert len(arr.events) > engine.PACK_AHEAD
+    packed = 0
+    for cur, _ in engine._retiring_steps(arr):
+        packed = max(packed, sum(isinstance(row, PackedRow) for row in cur.table.values()))
+    assert packed > 0
+    while arr.events:
+        arr, _ = blow_up_step(arr)
+        assert not any(isinstance(row, PackedRow) for row in arr.table.values())
+
+
+@pytest.mark.parametrize("name", ["dcp-fixed", "touch-p4", "braid-n4-linear"])
+def test_no_row_packed_within_the_window(name):
+    """With at most PACK_AHEAD events, every event still to come is in
+    the window, so each row is either final or read again: none is
+    packed."""
+    arr = MODELS[name]()
+    assert len(arr.events) <= engine.PACK_AHEAD
+    for cur, _ in engine._retiring_steps(arr):
+        assert not any(isinstance(row, PackedRow) for row in cur.table.values())
 
 
 def test_first_center_of_a_pair_passes_the_second_as_later(monkeypatch):
