@@ -371,7 +371,6 @@ def _elementary(arr: Arrangement, cid: str, later):
 
     # the strata by their meet with the center and their dimension
     by_center_meet = {(cid, center.dim_c): [cid]}
-    unpacked = {}  # the packed old rows read by key, as dicts
     for sid, m in center_row.items():
         by_center_meet.setdefault((m, strata[sid].dim_c), []).append(sid)
 
@@ -382,17 +381,21 @@ def _elementary(arr: Arrangement, cid: str, later):
         restrictions under (m, big).  It equals NEW(A') for the
         arrangement member A' ⊆ big with A'∧C = m of complementary
         dimension (clean intersections make the normal bundles agree);
-        anything else stays unresolved."""
+        anything else stays unresolved.  Whether s lies in big is read
+        from s's row, or from big's when only that one is a dict (the
+        table is symmetric): a packed row is scanned."""
         target = strata[m].dim_c + strata[big].dim_c - strata[center_row[big]].dim_c
+        big_row = old_table[big]
+        big_dict = type(big_row) is dict
         candidates = []
         for s in by_center_meet.get((m, target), ()):
             if s != big:
                 row = old_table[s]
-                if type(row) is PackedRow:
-                    row = unpacked.get(s)
-                    if row is None:
-                        row = unpacked[s] = dict(old_table[s].items())
-                if row.get(big) != s:
+                if big_dict and type(row) is PackedRow:
+                    row, s_or_big = big_row, s
+                else:
+                    s_or_big = big
+                if row.get(s_or_big) != s:
                     continue
             candidates.append(s)
         value = on_e[candidates[0]] if len(candidates) == 1 else UNRESOLVED
@@ -405,12 +408,8 @@ def _elementary(arr: Arrangement, cid: str, later):
     def edit_row(sid):
         row = edited.get(sid)
         if row is None:
-            old = unpacked.get(sid)
-            if old is None:
-                old = old_table.get(sid, {})
-                if type(old) is PackedRow:
-                    old = old.items()
-            row = dict(old)
+            old = old_table.get(sid, {})
+            row = dict(old.items() if type(old) is PackedRow else old)
             edited[sid] = new_table[sid] = row
         return row
 
