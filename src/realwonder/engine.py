@@ -34,7 +34,6 @@ the run only if actually consulted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
 
 from . import gradedpoly as gp
 from .arrangement import (
@@ -422,13 +421,21 @@ def _elementary(arr: Arrangement, cid: str, later):
         rest_outer.discard(a)
         ca = cls[a]
         row = old_table.get(a, {})
+        packed = type(row) is PackedRow
+        if packed:  # walked by position: b's meet is at b's index
+            keys, meets, i = row.sids, row.meets, -1
         row_a = edited.get(a)
         na = piece.get(a)
         if na is not None:
             touched_a, pieces_a = piece_touched[na], piece_pieces[na]
         ia = sep_a = None  # a's shadow and outcome row, on a's first separation
         walk = rest_outer if ca is INSIDE else rest
-        for b, m in compress(row.items(), map(walk.__contains__, row)):
+        for b in filter(walk.__contains__, keys if packed else row):
+            if packed:
+                i = keys.index(b, i + 1)
+                m = meets[i]
+            else:
+                m = row[b]
             if m is UNRESOLVED:
                 value = m
             elif ca is CENTER:
