@@ -70,9 +70,9 @@ CENTER = "Center"
 
 # The events a packed row is not read within: a run packs the row of a
 # stratum when neither it nor any key of its row is a stratum of the
-# next PACK_AHEAD events (see _retire).  Sized by measurement: 3 to 5
-# gave the lowest peak memory on M̅0,8, M̅0,9 and fm-n6; 10 and more
-# pack fewer rows and raised fm-n6 through allocator layout.
+# next PACK_AHEAD events (see _retire).  Sized by measurement (see
+# BENCH_row_tiers.json): 3 to 8 gave the same peak memory on M̅0,8 and
+# 5 the lowest on fm-n6; a larger value packs fewer rows and saves less.
 PACK_AHEAD = 5
 
 
@@ -385,16 +385,15 @@ def _elementary(arr: Arrangement, cid: str, later):
         table is symmetric): a packed row is scanned."""
         target = strata[m].dim_c + strata[big].dim_c - strata[center_row[big]].dim_c
         big_row = old_table[big]
-        big_dict = type(big_row) is dict
         candidates = []
         for s in by_center_meet.get((m, target), ()):
             if s != big:
                 row = old_table[s]
-                if big_dict and type(row) is PackedRow:
-                    row, s_or_big = big_row, s
+                if type(row) is PackedRow and type(big_row) is dict:
+                    meet = big_row.get(s)
                 else:
-                    s_or_big = big
-                if row.get(s_or_big) != s:
+                    meet = row.get(big)
+                if meet != s:
                     continue
             candidates.append(s)
         value = on_e[candidates[0]] if len(candidates) == 1 else UNRESOLVED
@@ -811,15 +810,12 @@ def _retire(table: dict, sids, remaining: set, window: set) -> None:
     Rows already retired (pieces dead at birth) stay."""
     for sid in sids:
         row = table[sid]
-        kind = type(row)
-        if kind is dict:
-            keys = row.keys()
-            if sid not in remaining and keys.isdisjoint(remaining):
-                table[sid] = RetiredRow(sid)
-            elif sid not in window and keys.isdisjoint(window):
-                table[sid] = PackedRow(row)
-        elif kind is PackedRow and sid not in remaining and remaining.isdisjoint(row):
+        if type(row) is RetiredRow:
+            continue
+        if sid not in remaining and _names_none(row, remaining):
             table[sid] = RetiredRow(sid)
+        elif type(row) is dict and sid not in window and row.keys().isdisjoint(window):
+            table[sid] = PackedRow(row)
 
 
 def _window(events) -> set:
