@@ -71,8 +71,9 @@ CENTER = "Center"
 # The events a packed row is not read within: a run packs the row of a
 # stratum when neither it nor any key of its row is a stratum of the
 # next PACK_AHEAD events (see _retire).  Sized by measurement (see
-# BENCH_row_tiers.json): 3 to 8 gave the same peak memory on M̅0,8 and
-# 5 the lowest on fm-n6; a larger value packs fewer rows and saves less.
+# BENCH_row_tiers.json): 3 to 8 gave the same engine peak on M̅0,8, 3
+# and 5 the lowest on fm-n6, and 20 saved about half as much on M̅0,8
+# and almost nothing on fm-n6; 3 repacks more rows than 5.
 PACK_AHEAD = 5
 
 

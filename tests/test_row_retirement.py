@@ -50,6 +50,7 @@ MODELS = {
     "moduli-n6-id": lambda: build_moduli(parse_sigma("id", 6)),
     "moduli-n6-(1 2)": lambda: build_moduli(parse_sigma("(1 2)", 6)),
     "moduli-n7-id": lambda: build_moduli(parse_sigma("id", 7)),
+    "moduli-n7-(1 2)(3 4)": lambda: build_moduli(parse_sigma("(1 2)(3 4)", 7)),
     "kt-n3-P1-chain": lambda: build_kt(3, P1, [[[1, 2, 3]]]),
     "ulyanov-n3-P1": lambda: build_ulyanov(3, P1),
     "ulyanov-n5-P1": lambda: build_ulyanov(5, P1),
