@@ -61,11 +61,12 @@ class PackedRow:
     """The table row of a stratum that no blow-up reads within the next
     few events, in place of its dict: a run packs those rows (see
     engine._retire) into two tuples, the keys and the meets, in the
-    row's own order, which take about half the memory of the dict.  It
-    answers the reads the package makes of a row as the dict it packs
-    did, in the same order: iteration, items, get, in and len; get and
-    in scan the keys.  Nothing mutates it: a step that changes the row
-    builds a dict from items()."""
+    row's own order.  The tuples hold one key and one meet per entry; a
+    dict keeps up to half its slots spare, and an index.  It answers the
+    reads the package makes of a row as the dict it packs did, in the
+    same order: iteration, items, get, in and len; get and in scan the
+    keys.  Nothing mutates it: a step that changes the row builds a dict
+    from items()."""
 
     __slots__ = ("sids", "meets")
 
@@ -86,11 +87,13 @@ class PackedRow:
         return zip(self.sids, self.meets)
 
     def get(self, sid, default=None):
-        sids = self.sids
-        return self.meets[sids.index(sid)] if sid in sids else default
+        try:
+            return self.meets[self.sids.index(sid)]
+        except ValueError:
+            return default
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stratum:
     sid: str
     dim_c: int

@@ -34,6 +34,8 @@ the run only if actually consulted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import is_not
 
 from . import gradedpoly as gp
 from .arrangement import (
@@ -71,17 +73,21 @@ CENTER = "Center"
 # The events a packed row is not read within: a run packs the row of a
 # stratum when neither it nor any key of its row is a stratum of the
 # next PACK_AHEAD events (see _retire).  Sized by measurement (see
-# BENCH_row_tiers.json): 3 to 8 gave the same engine peak on M̅0,8, 3
-# and 5 the lowest on fm-n6, and 20 saved about half as much on M̅0,8
-# and almost nothing on fm-n6; 3 repacks more rows than 5.
-PACK_AHEAD = 5
+# BENCH_row_tiers.json): a row packed sooner is read, rebuilt and packed
+# again more often, so engine CPU falls as PACK_AHEAD grows, while the
+# engine peak on M̅0,8 barely moves from 5 to 14; fm-n5, with 16
+# events, packs no row from 15 on.
+PACK_AHEAD = 12
 
 
-def _row(table: dict, sid: str) -> dict:
-    """sid's table row for reads by key: a packed row unpacked into a
-    dict, and a missing one empty."""
+def _row(table: dict, sid: str, copy: bool = False) -> dict:
+    """sid's table row as a dict, for reads by key, and a missing one
+    empty: a packed row is unpacked into a new dict, and a dict row is
+    copied only when copy is set."""
     row = table.get(sid, {})
-    return dict(row.items()) if type(row) is PackedRow else row
+    if type(row) is PackedRow:
+        return dict(row.items())
+    return dict(row) if copy else row
 
 
 def _names_none(row, sids: set) -> bool:
@@ -382,21 +388,15 @@ def _elementary(arr: Arrangement, cid: str, later):
         arrangement member A' ⊆ big with A'∧C = m of complementary
         dimension (clean intersections make the normal bundles agree);
         anything else stays unresolved.  Whether s lies in big is read
-        from s's row, or from big's when only that one is a dict (the
-        table is symmetric): a packed row is scanned."""
+        from big's row when it is a dict (the table is symmetric), and
+        from s's row otherwise: a packed row is scanned."""
         target = strata[m].dim_c + strata[big].dim_c - strata[center_row[big]].dim_c
         big_row = old_table[big]
-        candidates = []
-        for s in by_center_meet.get((m, target), ()):
-            if s != big:
-                row = old_table[s]
-                if type(row) is PackedRow and type(big_row) is dict:
-                    meet = big_row.get(s)
-                else:
-                    meet = row.get(big)
-                if meet != s:
-                    continue
-            candidates.append(s)
+        same = by_center_meet.get((m, target), ())
+        if type(big_row) is dict:
+            candidates = [s for s in same if s == big or big_row.get(s) == s]
+        else:
+            candidates = [s for s in same if s == big or old_table[s].get(big) == s]
         value = on_e[candidates[0]] if len(candidates) == 1 else UNRESOLVED
         restrictions[(m, big)] = value
         return value
@@ -407,9 +407,7 @@ def _elementary(arr: Arrangement, cid: str, later):
     def edit_row(sid):
         row = edited.get(sid)
         if row is None:
-            old = old_table.get(sid, {})
-            row = dict(old.items() if type(old) is PackedRow else old)
-            edited[sid] = new_table[sid] = row
+            row = edited[sid] = new_table[sid] = _row(old_table, sid, copy=True)
         return row
 
     piece_touched = {nid: {} for nid in piece.values()}  # NEW(S)∧T(S')
@@ -577,8 +575,11 @@ def blow_up_step(arr: Arrangement):
     remaining = {sid for ev in arr.events[1:] for sid in ev}
     center_row = _row(arr.table, event[0])
     for b, m in center_row.items():
-        if b in remaining and (m == b or m is UNRESOLVED and arr.leq(b, event[0])):
-            raise EngineError(f"center {event[0]} is not minimal: contains {b}")
+        if b in remaining:
+            if m is UNRESOLVED:
+                arr.meet(b, event[0])  # raises the representability error
+            if m == b:
+                raise EngineError(f"center {event[0]} is not minimal: contains {b}")
 
     is_pair = len(event) == 2
     center0 = centers[0]
@@ -587,7 +588,7 @@ def blow_up_step(arr: Arrangement):
         pair_meet is not None and strata[pair_meet].real_status == REAL
     )
     if touching_pair:
-        _guard_touching_pair(arr, event, pair_meet, d)
+        _guard_touching_pair(arr, event, pair_meet, d, center_row)
     if is_pair:
         if touching_pair:
             # the centers carry real points of W on them, so neither the
@@ -689,11 +690,12 @@ def blow_up_step(arr: Arrangement):
     return out, trace
 
 
-def _guard_touching_pair(arr: Arrangement, event, wid: str, d: int):
+def _guard_touching_pair(arr: Arrangement, event, wid: str, d: int, center_row: dict):
     """Scope guard for a conjugate-pair event whose members intersect in
-    an invariant stratum W with real points.  The real-locus correction
-    below is derived for the transversal case with nothing else (real)
-    in the way; any other configuration is rejected honestly."""
+    an invariant stratum W with real points; center_row is the row of
+    the first center, which holds W.  The real-locus correction below is
+    derived for the transversal case with nothing else (real) in the
+    way; any other configuration is rejected honestly."""
     c1 = arr.strata[event[0]]
     w = arr.strata[wid]
     if c1.dim_c - w.dim_c != d:
@@ -702,7 +704,7 @@ def _guard_touching_pair(arr: Arrangement, event, wid: str, d: int):
         )
     # the strata that meet the first center are those of its row, walked
     # in strata order so that the first offender is the same
-    for sid in filter(_row(arr.table, event[0]).__contains__, arr.strata):
+    for sid in filter(center_row.__contains__, arr.strata):
         if sid in event or sid == wid:
             continue
         if arr.strata[sid].partner is None:
@@ -746,14 +748,14 @@ def _changed_strata(before: Arrangement, after: Arrangement) -> list:
     order: those that are new or not the same object as before the step
     (strata are immutable, so the others were checked already), and the
     partners of these before and after the step."""
-    old = before.strata
-    changed = [sid for sid, s in after.strata.items() if s is not old.get(sid)]
+    old, new = before.strata, after.strata
+    changed = list(compress(new, map(is_not, new.values(), map(old.get, new))))
     linked = set(changed)
     for sid in changed:
-        for s in (old.get(sid), after.strata[sid]):
+        for s in (old.get(sid), new[sid]):
             if s is not None and s.partner is not None:
                 linked.add(s.partner)
-    return [sid for sid in after.strata if sid in linked]
+    return list(filter(linked.__contains__, new))
 
 
 def _check_step(before: Arrangement, arr: Arrangement, trace: StepTrace):
@@ -790,10 +792,10 @@ def _check_step(before: Arrangement, arr: Arrangement, trace: StepTrace):
         raise InternalCheckError("non-maximal flag with zero deficiency")
 
 
-def _retire(table: dict, sids, remaining: set, window: set) -> None:
-    """Sort in place the row of each of sids into its tier; remaining
-    holds the strata of the events still to come, and window those of
-    the next PACK_AHEAD of them.
+def _retire(table: dict, sids, remaining: set, events) -> None:
+    """Sort in place the row of each of sids into its tier; events are
+    the events still to come, remaining holds their strata, and window
+    those of the next PACK_AHEAD of them.
     - A row whose stratum is in no remaining event and that names no
       remaining event stratum is final: it becomes RetiredRow.
     - Otherwise a dict row whose stratum is not in window and that names
@@ -808,7 +810,11 @@ def _retire(table: dict, sids, remaining: set, window: set) -> None:
     PACK_AHEAD events.  Correctness never depends on PACK_AHEAD: a
     packed row that is read sooner is only slower to read.  A packed row
     a step read but did not change stays packed until it is final.
-    Rows already retired (pieces dead at birth) stay."""
+    Rows already retired (pieces dead at birth) stay.
+    Last, a packed row of a stratum of the next event becomes a dict
+    again, here and once: that step reads its centers' rows by key and
+    changes them."""
+    window = {sid for ev in events[:PACK_AHEAD] for sid in ev}
     for sid in sids:
         row = table[sid]
         if type(row) is RetiredRow:
@@ -817,11 +823,9 @@ def _retire(table: dict, sids, remaining: set, window: set) -> None:
             table[sid] = RetiredRow(sid)
         elif type(row) is dict and sid not in window and row.keys().isdisjoint(window):
             table[sid] = PackedRow(row)
-
-
-def _window(events) -> set:
-    """The strata of the first PACK_AHEAD of events."""
-    return {sid for ev in events[:PACK_AHEAD] for sid in ev}
+    for sid in events[0] if events else ():
+        if type(table.get(sid)) is PackedRow:
+            table[sid] = _row(table, sid)
 
 
 def _retiring_steps(arr: Arrangement):
@@ -841,14 +845,14 @@ def _retiring_steps(arr: Arrangement):
     and nothing mutates a packed row."""
     remaining = {sid for ev in arr.events for sid in ev}
     table = dict(arr.table)
-    _retire(table, arr.table, remaining, _window(arr.events))
+    _retire(table, arr.table, remaining, arr.events)
     cur = replace(arr, table=table)
     yield cur, None
     while cur.events:
         cur, trace = blow_up_step(cur)
         remaining.difference_update(trace.event)
         changed = trace.cases.keys() | trace.new_strata
-        _retire(cur.table, changed, remaining, _window(cur.events))
+        _retire(cur.table, changed, remaining, cur.events)
         yield cur, trace
 
 

@@ -29,7 +29,7 @@ class Tri(enum.Enum):
 YES, NO, UNKNOWN = Tri.YES, Tri.NO, Tri.UNKNOWN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagSet:
     effective: Tri = UNKNOWN
     maximal: Tri = UNKNOWN
