@@ -68,8 +68,8 @@ def test_retiring_run_matches_full_chain(name):
     the very row it was when retired; every live row equals the full
     chain's row, dict or packed, with the same items in the same order;
     a row packed after event k is not in events k+1..k+PACK_AHEAD and
-    names no stratum of theirs; the traces are equal; and at the end no
-    row is live.  The full chain retires the rows of the pieces dead at
+    names no stratum of theirs, and the rows of event k+1's centers are
+    not packed; the traces are equal; and at the end no row is live.  The full chain retires the rows of the pieces dead at
     birth too: for those, the row a step that retires nothing makes
     names no later event stratum (check_born_retired)."""
     arr = MODELS[name]()
@@ -92,6 +92,8 @@ def test_retiring_run_matches_full_chain(name):
         window = {sid for ev in arr.events[k : k + engine.PACK_AHEAD] for sid in ev}
         assert cur.strata == full.strata
         assert list(cur.table) == list(full.table)
+        for sid in cur.events[0] if cur.events else ():
+            assert not isinstance(cur.table[sid], PackedRow)
         for sid, row in cur.table.items():
             if isinstance(row, PackedRow) and before.get(sid) is not row:
                 assert sid not in window and window.isdisjoint(row)
