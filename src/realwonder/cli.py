@@ -35,6 +35,7 @@ from .models import (
     build_kt,
     build_moduli,
     build_ulyanov,
+    config_ambient_dim,
     parse_sigma,
 )
 from .report import build_report, from_json, render_text, to_json
@@ -45,9 +46,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-# Largest dcp ambient_dim: a rational-normal-curve point of P^N has N+1
-# coordinates whose powers grow with N, and the models in use live in
-# P^3 to P^5, so a larger N is a typo that would run without end.
+# Largest ambient dimension of a model, checked before it is built.  A
+# rational-normal-curve point of P^N has N+1 coordinates whose powers
+# grow with N, the dcp models in use live in P^3 to P^5, and M̅0,n, of
+# dimension n - 3, needs about 3 GB at n = 10.  A larger dimension is a
+# typo that would run without end or overflow.
 MAX_AMBIENT_DIM = 64
 
 # a dcp arrangement and one of its generators (see _parse_generators)
@@ -143,6 +146,13 @@ def _apply_seed_flags(arr, path: str):
     return replace(arr, ambient=ambient, strata=strata, flag_axioms=tuple(axioms))
 
 
+def _check_ambient_dim(dim: int, rule: str) -> None:
+    if dim > MAX_AMBIENT_DIM:
+        raise InputError(
+            f"ambient dimension {rule} = {dim} is above the bound {MAX_AMBIENT_DIM}"
+        )
+
+
 def _run(arr, model: dict, args) -> int:
     """The tail shared by the model commands: apply --seed-flags, run
     the blow-ups, print the table and write the --machine report."""
@@ -163,6 +173,7 @@ def cmd_dcp(args) -> int:
 
 
 def cmd_moduli(args) -> int:
+    _check_ambient_dim(args.n - 3, "n - 3")
     spec = parse_sigma(args.sigma, args.n)
     arr = build_moduli(spec, validate_prefixes=args.validate_prefixes)
     return _run(arr, {"kind": "moduli", "n": args.n, "sigma": args.sigma}, args)
@@ -170,6 +181,7 @@ def cmd_moduli(args) -> int:
 
 def cmd_config(args) -> int:
     space = SpaceData.from_dict(_load_json(args.space))
+    _check_ambient_dim(config_ambient_dim(args.n, space), "n * dim_c")
     if args.model == "kt":
         if not args.building:
             raise InputError("the kt model needs --building (JSON list of partitions)")

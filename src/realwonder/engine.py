@@ -34,7 +34,7 @@ the run only if actually consulted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, product
 from operator import is_not
 
 from . import gradedpoly as gp
@@ -69,6 +69,16 @@ INSIDE = "InsideCenter"
 CONTAINS = "ContainsCenter"
 PROPER = "ProperMeet"
 CENTER = "Center"
+
+# Every labels tuple a StepTrace.cases value can be: one label per
+# center of an event of one or two.  A step maps each stratum it
+# touched to the tuple here, so a run holds one copy of each of these
+# 30 tuples however many strata its steps touch.  Never mutated.
+_CASES = {
+    labels: labels
+    for k in (1, 2)
+    for labels in product((DISJOINT, INSIDE, CONTAINS, PROPER, CENTER), repeat=k)
+}
 
 # The events a packed row is not read within: a run packs the row of a
 # stratum when neither it nor any key of its row is a stratum of the
@@ -674,7 +684,7 @@ def blow_up_step(arr: Arrangement):
     trace = StepTrace(
         event=event,
         codim=d,
-        cases={sid: tuple(labels) for sid, labels in sorted(case_record.items())},
+        cases={sid: _CASES[tuple(labels)] for sid, labels in sorted(case_record.items())},
         created=tuple(created_by),
         event_betti_c=event_bc,
         event_betti_r=event_br,

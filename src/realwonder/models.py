@@ -462,14 +462,20 @@ def _power_factory(space: SpaceData):
     return factory
 
 
-def _config_arrangement(n: int, space: SpaceData, generators) -> Arrangement:
+def config_ambient_dim(n: int, space: SpaceData) -> int:
+    """The ambient dimension n · dim_c of the configuration models of n
+    points of space; an InputError when no such model exists."""
     if n < 2:
         raise InputError("configuration models need n >= 2 points")
     if space.dim_c < 1:
         raise InputError(f"configuration models need a space of dim_c >= 1, got {space.dim_c}")
+    return space.dim_c * n
+
+
+def _config_arrangement(n: int, space: SpaceData, generators) -> Arrangement:
     ambient = Stratum(
         sid=AMBIENT_ID,
-        dim_c=space.dim_c * n,
+        dim_c=config_ambient_dim(n, space),
         betti_c=gp.kunneth(*([space.betti_c] * n)),
         betti_r=gp.kunneth(*([space.betti_r] * n)) if space.real_nonempty else gp.ZERO,
         flags=product_flags([space.flags] * n),

@@ -332,6 +332,25 @@ def test_trace_contents():
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_moduli(parse_sigma("(1 2)", 6)),
+        lambda: build_fm(4, SpaceData.projective_space(1)),
+        fixed_dcp,
+    ],
+    ids=["moduli-n6-(1 2)", "fm-n4-P1", "dcp-fixed"],
+)
+def test_trace_cases_are_the_canonical_tuples(build):
+    """Each StepTrace.cases value is one of the 30 label tuples the
+    engine builds at import, so a run holds one copy of each."""
+    from realwonder import engine
+
+    assert len(engine._CASES) == 5 + 5 * 5
+    labels = [lab for trace in wonderful_run(build()).traces for lab in trace.cases.values()]
+    assert labels and all(lab is engine._CASES[lab] for lab in labels)
+
+
+@pytest.mark.parametrize(
     "build, has_pairs",
     [
         (lambda: build_moduli(parse_sigma("(1 2)", 6)), True),

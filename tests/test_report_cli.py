@@ -197,6 +197,93 @@ def test_to_json_rejects_non_report_values(bad):
         to_json(bad)
 
 
+def test_to_json_matches_stdlib_around_the_join_threshold():
+    """The writer joins the pieces of a list item or dict member that
+    took more than _JOIN_AT of them.  Items and members on both sides
+    of that size, flat and nested, give the stdlib's bytes."""
+    from realwonder.report import _JOIN_AT
+
+    sizes = range(_JOIN_AT + 4)
+    escapes = ["k\u00e4hler \u0394", "\"quoted\"\n\t\\", "\x00\x1f\x7f", "\U0001d54a", ""]
+    deep = []
+    for depth in range(40):
+        deep = [deep, list(range(depth)), {"x": depth, "e": [], "s": escapes[depth % 5]}]
+    value = {
+        "flat": list(range(5 * _JOIN_AT)),
+        "lists": [[k if k % 2 else str(k) for k in range(size)] for size in sizes],
+        "dicts": {str(size): {f"m{k}": [k] for k in range(size)} for size in sizes},
+        "deep": deep,
+        "empties": [[], {}, [[], {}] * _JOIN_AT, {"": [], "{}": {}}],
+        "strings": escapes * _JOIN_AT,
+        escapes[0]: {key: escapes for key in escapes},
+    }
+    assert to_json(value) == _reference_json(value)
+    for size in sizes:
+        assert to_json(value["lists"][size]) == _reference_json(value["lists"][size])
+
+
+def test_to_json_peak_is_about_twice_the_text():
+    """Joining the pieces of each large member keeps the writer's
+    traced peak, above its input, within 2.5 times the text it returns
+    (the text itself counts once).  One list of every piece took four
+    times the text on M̅0,8."""
+    import hashlib
+    import tracemalloc
+
+    report = run_report("id", 8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = to_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2.5 * len(text)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "3f2371022abf5423c80dbf8f875f257a6b65c7b0ad9a1a5572c7dacde61d2900"
+
+
+@pytest.mark.parametrize("sigma, n", [("(1 2)", 6), ("(1 2)(3 4)", 7)])
+def test_report_cases_share_one_list_per_labels(sigma, n):
+    """Within a step record, the cases with equal labels are one list."""
+    report = run_report(sigma, n)
+    assert any(len(step["event"]) == 2 for step in report["steps"])
+    for step in report["steps"]:
+        lists = {}
+        for labels in step["cases"].values():
+            assert lists.setdefault(tuple(labels), labels) is labels
+
+
+def test_report_readers_leave_shared_labels_alone(tmp_path, monkeypatch, capsys):
+    """No reader of a report mutates it, so none changes a label list
+    that other cases share: each leaves the report deep-equal to a copy
+    taken before the call."""
+    import copy
+
+    from realwonder.report import to_v1, verify_trace_identities
+
+    report = run_report("id", 6)
+    before = copy.deepcopy(report)
+    to_v1(report)
+    from_json(to_json(report))
+    render_text(report, trace=True)
+    verify_trace_identities(report)
+    assert report == before
+
+    path = tmp_path / "report.json"
+    path.write_text(to_json(report))
+    read = []
+
+    def reading(text):
+        read.append(from_json(text))
+        read.append(copy.deepcopy(read[0]))
+        return read[0]
+
+    monkeypatch.setattr(cli, "from_json", reading)
+    assert cli.main(["hilb2", "--report", str(path)]) == 0
+    assert read[0] == read[1] == before
+
+
 def test_report_schema_guard():
     report = run_report()
     report["schema_version"] = 99
@@ -382,6 +469,49 @@ def test_cli_dcp_ambient_dim_bound(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert cli.main(["dcp", str(path)]) == 2
     assert str(cli.MAX_AMBIENT_DIM) in capsys.readouterr().err
+
+
+_HUGE_N = "99999999999999999999"
+
+
+def _run_cli(*argv):
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    command = [sys.executable, "-m", "realwonder", *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True)
+
+
+def test_cli_moduli_n_bound(capsys):
+    """An n whose M̅0,n has ambient dimension n - 3 above the bound is
+    refused before sigma is parsed: a huge n overflowed there."""
+    done = _run_cli("moduli", "--n", _HUGE_N)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    dim = int(_HUGE_N) - 3
+    assert done.stderr == (
+        f"input error: ambient dimension n - 3 = {dim} is above the bound {cli.MAX_AMBIENT_DIM}\n"
+    )
+    assert cli.main(["moduli", "--n", str(cli.MAX_AMBIENT_DIM + 4)]) == 2
+    assert f"n - 3 = {cli.MAX_AMBIENT_DIM + 1} is above" in capsys.readouterr().err
+
+
+def test_cli_config_n_bound(tmp_path, capsys):
+    """A configuration model whose ambient dimension n * dim_c is above
+    the bound is refused before its diagonals are built: a huge n
+    overflowed there."""
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(_P1))
+    done = _run_cli("config", "--model", "fm", "--n", _HUGE_N, "--space", str(path))
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert done.stderr == (
+        f"input error: ambient dimension n * dim_c = {_HUGE_N} is above the bound "
+        f"{cli.MAX_AMBIENT_DIM}\n"
+    )
+    for model in ("fm", "ulyanov", "kt"):
+        argv = ["config", "--model", model, "--n", str(cli.MAX_AMBIENT_DIM + 1)]
+        assert cli.main([*argv, "--space", str(path)]) == 2
+        assert f"n * dim_c = {cli.MAX_AMBIENT_DIM + 1} is above" in capsys.readouterr().err
 
 
 def test_cli_input_error_exit_codes(tmp_path):
