@@ -259,16 +259,6 @@ class Arrangement:
 # geometry dispatch
 
 
-def geom_key(g):
-    if isinstance(g, FramePartition):
-        return g.blocks
-    if isinstance(g, ProjSubspace):
-        return g.key()
-    if isinstance(g, SetPartition):
-        return (g.n, g.masks)
-    raise InputError(f"unsupported geometry {type(g).__name__}")
-
-
 def geom_meet(g1, g2):
     """Intersection of concrete geometries; None when empty."""
     if isinstance(g1, FramePartition) and isinstance(g2, FramePartition):
@@ -296,7 +286,7 @@ def clean_sum_side(g, gc, sides: dict, meet=None) -> tuple:
     if side is None:
         if meet is None:
             meet = geom_meet(g, gc)
-        inside = meet is not None and geom_key(meet) == geom_key(g)
+        inside = meet == g
         if isinstance(g, ProjSubspace):
             side = (meet, inside, None, None)
         else:
@@ -348,14 +338,6 @@ def excess_dim(ga, gb, gc, ac=None, bc=None, sides=None) -> int:
     )
 
 
-def geom_conj(g):
-    if isinstance(g, (ProjSubspace, FramePartition)):
-        return g.conjugate()
-    if isinstance(g, SetPartition):
-        return g
-    raise InputError(f"unsupported geometry {type(g).__name__}")
-
-
 def close_under_intersection(
     ambient: Stratum,
     generators,
@@ -368,21 +350,23 @@ def close_under_intersection(
     generators: list of (sid, geometry).  stratum_factory(sid, geometry,
     partner_sid_or_None) -> Stratum supplies payloads and flags.
     Discovered intersections are named by namer(k, geometry) (default
-    "x1", "x2", ...) in deterministic discovery order.
+    "x1", "x2", ...) in deterministic discovery order.  A geometry is
+    identified by its own equality and hash, and conjugate() gives the
+    geometry of its conjugate stratum.
     """
     if namer is None:
         namer = lambda k, g: f"x{k}"
     ids = []
     geoms = {}
-    by_key = {}
+    by_geom = {}
     for sid, g in generators:
         if sid in geoms:
             raise InputError(f"duplicate generator id {sid}")
-        if geom_key(g) in by_key:
+        if g in by_geom:
             raise InputError(f"duplicate generator geometry for {sid}")
         ids.append(sid)
         geoms[sid] = g
-        by_key[geom_key(g)] = sid
+        by_geom[g] = sid
 
     # round by round, each pair (known[i], known[j]) with i < j and j in
     # the previous round's discoveries, in (i, j) order
@@ -399,15 +383,14 @@ def close_under_intersection(
                 m = geom_meet(ga, geoms[b])
                 if m is None:
                     continue
-                mk = geom_key(m)
-                sid = by_key.get(mk)
+                sid = by_geom.get(m)
                 if sid is None:
                     counter += 1
                     sid = namer(counter, m)
                     if sid in geoms:
                         raise InputError(f"intersection name clash at {sid}")
                     geoms[sid] = m
-                    by_key[mk] = sid
+                    by_geom[m] = sid
                     known.append(sid)
                 meets.append((a, b, sid) if a < b else (b, a, sid))
         start = end
@@ -415,8 +398,7 @@ def close_under_intersection(
     # conj structure: the closure of a conj-closed set is conj-closed
     partner = {}
     for sid in known:
-        ck = geom_key(geom_conj(geoms[sid]))
-        other = by_key.get(ck)
+        other = by_geom.get(geoms[sid].conjugate())
         if other is None:
             raise InputError(
                 f"conjugate of {sid} missing: generators must be invariant "
@@ -511,11 +493,10 @@ def _close_ids(arr: Arrangement, ids) -> set:
     return closure
 
 
-def order_building_set(arr: Arrangement, validate_prefixes: bool = False) -> Arrangement:
+def order_building_set(arr: Arrangement) -> Arrangement:
     """Designate blow-up events: building members of codim >= 2, grouped
     into conjugate-pair events, sorted by nondecreasing complex
-    dimension (ties by id).  Optionally re-validate that every prefix of
-    the event list is itself a building set of its induced closure."""
+    dimension (ties by id)."""
     eligible = [b for b in arr.building_set if arr.codim(b) >= 2]
     events = []
     seen = set()
@@ -533,18 +514,21 @@ def order_building_set(arr: Arrangement, validate_prefixes: bool = False) -> Arr
             events.append((b,))
             seen.add(b)
     events.sort(key=lambda ev: (arr.strata[ev[0]].dim_c, ev[0]))
-    out = replace(arr, events=tuple(events))
+    return replace(arr, events=tuple(events))
 
-    if validate_prefixes:
-        flat = []
-        for i, ev in enumerate(events):
-            flat += list(ev)
-            closure = _close_ids(arr, flat)
-            problems = building_violations(arr, closure, flat)
-            if problems:
-                raise InputError(
-                    f"prefix {i + 1} of the event order is not a building set: "
-                    + "; ".join(f"{sid}: {reason}" for sid, reason in problems)
-                )
-    return out
 
+def check_event_prefixes(arr: Arrangement) -> Arrangement:
+    """Re-validate that every prefix of the event order is a building
+    set of its induced closure, the condition the iterated blow-up
+    relies on (De Concini-Procesi 1995; Li Li 2009).  Returns arr;
+    raises InputError at the first prefix that is not."""
+    flat = []
+    for i, ev in enumerate(arr.events):
+        flat += list(ev)
+        problems = building_violations(arr, _close_ids(arr, flat), flat)
+        if problems:
+            raise InputError(
+                f"prefix {i + 1} of the event order is not a building set: "
+                + "; ".join(f"{sid}: {reason}" for sid, reason in problems)
+            )
+    return arr

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, schema
-from .arrangement import AMBIENT_ID
+from .arrangement import AMBIENT_ID, check_event_prefixes
 from .engine import wonderful_run
 from .errors import EngineError, InputError, RealWonderError
 from .exact import GaussianRational
@@ -74,9 +74,12 @@ def _load_json(path: str):
 
 def _check_machine(path) -> None:
     """Refuse a --machine path that cannot name a new file, before any
-    run: a directory, or a file in a directory that does not exist."""
+    run: an empty path, a directory, or a file in a directory that does
+    not exist."""
     if path is None:
         return
+    if not path:
+        raise InputError("--machine needs a file path, got an empty one")
     if os.path.isdir(path):
         raise InputError(f"cannot write {path}: it is a directory")
     folder = os.path.dirname(path) or "."
@@ -154,8 +157,11 @@ def _check_ambient_dim(dim: int, rule: str) -> None:
 
 
 def _run(arr, model: dict, args) -> int:
-    """The tail shared by the model commands: apply --seed-flags, run
-    the blow-ups, print the table and write the --machine report."""
+    """The tail shared by the model commands: check the event prefixes
+    (--validate-prefixes), apply --seed-flags, run the blow-ups, print
+    the table and write the --machine report."""
+    if args.validate_prefixes:
+        check_event_prefixes(arr)
     if args.seed_flags:
         arr = _apply_seed_flags(arr, args.seed_flags)
     report = build_report(model, wonderful_run(arr))
@@ -167,7 +173,7 @@ def _run(arr, model: dict, args) -> int:
 
 def cmd_dcp(args) -> int:
     ambient_dim, generators = _parse_generators(_load_json(args.file))
-    arr = build_dcp(ambient_dim, generators, validate_prefixes=args.validate_prefixes)
+    arr = build_dcp(ambient_dim, generators)
     model = {"kind": "dcp", "file": args.file, "ambient_dim": ambient_dim}
     return _run(arr, model, args)
 
@@ -175,7 +181,7 @@ def cmd_dcp(args) -> int:
 def cmd_moduli(args) -> int:
     _check_ambient_dim(args.n - 3, "n - 3")
     spec = parse_sigma(args.sigma, args.n)
-    arr = build_moduli(spec, validate_prefixes=args.validate_prefixes)
+    arr = build_moduli(spec)
     return _run(arr, {"kind": "moduli", "n": args.n, "sigma": args.sigma}, args)
 
 
@@ -186,10 +192,10 @@ def cmd_config(args) -> int:
         if not args.building:
             raise InputError("the kt model needs --building (JSON list of partitions)")
         building = schema.check(_load_json(args.building), [[[int]]], "building set")
-        arr = build_kt(args.n, space, building, validate_prefixes=args.validate_prefixes)
+        arr = build_kt(args.n, space, building)
     else:
         build = build_fm if args.model == "fm" else build_ulyanov
-        arr = build(args.n, space, validate_prefixes=args.validate_prefixes)
+        arr = build(args.n, space)
     model = {"kind": "config", "model": args.model, "n": args.n, "space": space.to_dict()}
     return _run(arr, model, args)
 

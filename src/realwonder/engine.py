@@ -48,7 +48,6 @@ from .arrangement import (
     UNRESOLVED,
     clean_sum_side,
     excess_dim,
-    geom_key,
     geom_meet,
 )
 from .errors import EngineError, InternalCheckError, UnsupportedExcessIntersection
@@ -206,7 +205,7 @@ def _separation_outcome(ga, gb, gc, sides=None) -> str:
     lies in C.  If C also lies in A (or in B), the modular law settles
     the pair without a rank: (A+C)∩(B+C) = A∩(B+C) = (A∩B)+C = C, so
     the excess is 0.  The test reads the side's meet A∧C, which
-    clean_sum_side already holds, and compares it with C by geom_key.
+    clean_sum_side already holds, and compares it with C by equality.
     It holds for ProjSubspace, SetPartition and FramePartition alike,
     as every shadow is a linear subspace (a polydiagonal is the span of
     its block indicators).  Only the other pairs reach excess_dim, the
@@ -222,10 +221,7 @@ def _separation_outcome(ga, gb, gc, sides=None) -> str:
     mm = geom_meet(ga, gb)
     if mm is not None and not clean_sum_side(mm, gc, sides)[1]:
         return "shared directions outside the center; transforms still meet"
-    key_c = geom_key(gc)
-    if (ac is not None and geom_key(ac) == key_c) or (
-        bc is not None and geom_key(bc) == key_c
-    ):
+    if ac == gc or bc == gc:
         return "separated"
     excess = excess_dim(ga, gb, gc, ac, bc, sides)
     if excess:

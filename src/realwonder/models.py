@@ -145,9 +145,7 @@ def _projective_ambient(k: int) -> Stratum:
 _PROJECTIVE_AXIOM = (AMBIENT_ID, "projective space with standard conjugation")
 
 
-def _finalize_building(
-    arr: Arrangement, building, what: str, *, validate_prefixes: bool, **fields
-) -> Arrangement:
+def _finalize_building(arr: Arrangement, building, what: str, **fields) -> Arrangement:
     """The common tail of every builder: validate the building set
     (InputError naming `what` on violation), store it sorted by
     (dim_c, id) together with the given fields, and order the events."""
@@ -159,7 +157,7 @@ def _finalize_building(
         building_set=tuple(sorted(building, key=lambda s: (arr.strata[s].dim_c, s))),
         **fields,
     )
-    return order_building_set(arr, validate_prefixes=validate_prefixes)
+    return order_building_set(arr)
 
 
 def _linear_factory(sid, geom, partner):
@@ -215,12 +213,7 @@ def _complete_building(arr: Arrangement, building) -> list:
     return building
 
 
-def build_dcp(
-    ambient_dim: int,
-    generators,
-    *,
-    validate_prefixes: bool = False,
-) -> Arrangement:
+def build_dcp(ambient_dim: int, generators) -> Arrangement:
     """Wonderful model of an arrangement of Conj-invariant (or
     conj-paired) linear subspaces of P^N.
 
@@ -239,10 +232,10 @@ def build_dcp(
             raise InputError(f"{name}: duplicate generator")
         seen.add(g)
 
-    return _dcp_model(ambient_dim, generators, validate_prefixes=validate_prefixes)
+    return _dcp_model(ambient_dim, generators)
 
 
-def _dcp_model(ambient_dim: int, generators, *, validate_prefixes: bool) -> Arrangement:
+def _dcp_model(ambient_dim: int, generators) -> Arrangement:
     """The wonderful model of valid generators: linear subspaces, or the
     frame polydiagonals of the partition moduli path, which carry the
     same payloads (`proj_dim`, real or paired)."""
@@ -253,7 +246,6 @@ def _dcp_model(ambient_dim: int, generators, *, validate_prefixes: bool) -> Arra
         arr,
         _complete_building(arr, [name for name, _ in generators]),
         "completed building set",
-        validate_prefixes=validate_prefixes,
         stretched=YES,
         flag_axioms=_linear_axioms(arr),
     )
@@ -372,7 +364,6 @@ def build_moduli(
     *,
     backend: str = "partition",
     real_params=None,
-    validate_prefixes: bool = False,
 ) -> Arrangement:
     """Kapranov's iterated blow-up model: P^{n-3} and the spans of
     subsets of n-1 points in general position, blown up in dimension
@@ -399,15 +390,6 @@ def build_moduli(
     n = spec.n
     big_n = n - 3
 
-    if big_n < 1 or n < 5:
-        return Arrangement(
-            ambient=_projective_ambient(max(big_n, 0)),
-            strata={},
-            table={},
-            stretched=YES,
-            flag_axioms=(_PROJECTIVE_AXIOM,),
-        )
-
     if backend == "linear":
         points = rnc_points(big_n, params)
         # verified genericity: every small subset of the points is independent
@@ -431,8 +413,8 @@ def build_moduli(
         for subset in combinations(range(1, n), size)
     ]
     if backend == "linear":
-        return build_dcp(big_n, generators, validate_prefixes=validate_prefixes)
-    return _dcp_model(big_n, generators, validate_prefixes=validate_prefixes)
+        return build_dcp(big_n, generators)
+    return _dcp_model(big_n, generators)
 
 
 # ----------------------------------------------------------------------
@@ -489,35 +471,20 @@ def _config_arrangement(n: int, space: SpaceData, generators) -> Arrangement:
     return replace(arr, stretched=YES, flag_axioms=(axiom,))
 
 
-def build_fm(n: int, space: SpaceData, *, validate_prefixes: bool = False) -> Arrangement:
+def build_fm(n: int, space: SpaceData) -> Arrangement:
     """Fulton-MacPherson compactification: building set = all diagonals."""
-    arr = _config_arrangement(n, space, diagonals(n))
-    building = [p.label() for p in diagonals(n)]
-    return _finalize_building(
-        arr, building, "diagonal building set", validate_prefixes=validate_prefixes
-    )
+    gens = diagonals(n)
+    arr = _config_arrangement(n, space, gens)
+    return _finalize_building(arr, [p.label() for p in gens], "diagonal building set")
 
 
-def build_ulyanov(
-    n: int, space: SpaceData, *, validate_prefixes: bool = False
-) -> Arrangement:
+def build_ulyanov(n: int, space: SpaceData) -> Arrangement:
     """Ulyanov's compactification: building set = all polydiagonals."""
     arr = _config_arrangement(n, space, diagonals(n))
-    return _finalize_building(
-        arr,
-        sorted(arr.strata),
-        "polydiagonal building set",
-        validate_prefixes=validate_prefixes,
-    )
+    return _finalize_building(arr, sorted(arr.strata), "polydiagonal building set")
 
 
-def build_kt(
-    n: int,
-    space: SpaceData,
-    building,
-    *,
-    validate_prefixes: bool = False,
-) -> Arrangement:
+def build_kt(n: int, space: SpaceData, building) -> Arrangement:
     """Kuperberg-Thurston style compactification for a user-supplied
     polydiagonal building set (list of block lists); the set is
     validated, never auto-completed."""
@@ -536,10 +503,7 @@ def build_kt(
     if not parts:
         raise InputError("empty building set")
     arr = _config_arrangement(n, space, parts)
-    names = [p.label() for p in parts]
-    return _finalize_building(
-        arr, names, "user building set", validate_prefixes=validate_prefixes
-    )
+    return _finalize_building(arr, [p.label() for p in parts], "user building set")
 
 
 # ----------------------------------------------------------------------
@@ -566,7 +530,7 @@ def _braid_subspace(n: int, part: SetPartition) -> ProjSubspace:
     return ProjSubspace.from_basis_rows(n, rows)
 
 
-def build_braid(n: int, backend: str, *, validate_prefixes: bool = False) -> Arrangement:
+def build_braid(n: int, backend: str) -> Arrangement:
     """The braid diagonal arrangement z_i = z_j inside the projective
     closure P^n of n points on an affine line, built either through the
     partition backend or through honest linear algebra; runs of the two
@@ -608,7 +572,6 @@ def build_braid(n: int, backend: str, *, validate_prefixes: bool = False) -> Arr
         arr,
         [p.label() for p in gens],
         f"braid building set ({backend})",
-        validate_prefixes=validate_prefixes,
         stretched=YES,
         flag_axioms=(_PROJECTIVE_AXIOM,),
     )

@@ -130,6 +130,12 @@ class SetPartition:
             raise ValueError("mixed partition sizes")
         return SetPartition._from_masks(self.n, _merge_masks(self.masks, other.masks))
 
+    def conjugate(self) -> "SetPartition":
+        """The polydiagonal itself: the real structure of X^n acts on
+        each factor and moves no point, so it maps each polydiagonal to
+        itself."""
+        return self
+
     def indicator_rows(self, projective: bool = False):
         """Integer rows spanning the (cone over the) polydiagonal: one
         block indicator per block, plus the extra homogenizing
@@ -304,10 +310,10 @@ def all_partitions(n: int):
     yield from rec([], 0)
 
 
-def diagonals(n: int, min_size: int = 2):
+def diagonals(n: int):
     """The diagonal partitions: one merged block of each subset."""
     out = []
-    for size in range(min_size, n + 1):
+    for size in range(2, n + 1):
         for subset in combinations(range(1, n + 1), size):
             out.append(SetPartition.merged(n, subset))
     return out

@@ -12,6 +12,7 @@ import time
 from math import comb
 
 from . import gradedpoly as gp
+from .arrangement import check_event_prefixes
 from .engine import wonderful_run
 from .errors import RealWonderError
 from .hilbert import (
@@ -38,34 +39,23 @@ from .subspaces import rnc_points, span_points
 
 
 def _all_involutions_with_fix(n: int):
-    """All order-<=2 permutations of 1..n with a fixed point, grouped by
-    number of 2-cycles."""
+    """All order-<=2 permutations of 1..n with a fixed point, each made
+    once: the identity, then every set of disjoint 2-cycles depth first,
+    each cycle (a b) followed by its extensions on the points after a."""
     out = [ModuliSpec(n=n, sigma=tuple(range(1, n + 1)))]
-    elements = list(range(1, n + 1))
 
-    def rec(remaining, cycles):
-        if cycles:
-            sigma = list(range(1, n + 1))
-            for i, j in cycles:
-                sigma[i - 1], sigma[j - 1] = j, i
-            if any(sigma[k] == k + 1 for k in range(n)):
-                out.append(ModuliSpec(n=n, sigma=tuple(sigma)))
-        if len(remaining) < 2:
-            return
-        first = remaining[0]
-        for j in remaining[1:]:
-            rest = [x for x in remaining[1:] if x != j]
-            rec(rest, cycles + [(first, j)])
-        rec(remaining[1:], cycles)
+    def rec(points, sigma, moved):
+        for i, a in enumerate(points):
+            for b in points[i + 1:]:
+                images = list(sigma)
+                images[a - 1], images[b - 1] = b, a
+                if moved + 2 < n:  # some point is left fixed
+                    out.append(ModuliSpec(n=n, sigma=tuple(images)))
+                rec([x for x in points[i + 1:] if x != b], images, moved + 2)
 
-    rec(elements, [])
-    seen = set()
-    unique = []
-    for spec in out:
-        if spec.sigma not in seen:
-            seen.add(spec.sigma)
-            unique.append(spec)
-    return unique
+    identity = range(1, n + 1)
+    rec(identity, identity, 0)
+    return out
 
 
 def _sigma_samples(n: int, rng: random.Random, per_type: int = 2):
@@ -171,7 +161,7 @@ def check_moduli_n4():
 
 
 def check_moduli_n5_id():
-    res = wonderful_run(build_moduli(parse_sigma("id", 5), validate_prefixes=True))
+    res = wonderful_run(check_event_prefixes(build_moduli(parse_sigma("id", 5))))
     ok = (
         list(res.betti_c) == [1, 0, 5, 0, 1]
         and list(res.betti_r) == [1, 5, 1]
@@ -201,7 +191,7 @@ def check_moduli_n5_double_pair():
 def check_moduli_n6_id():
     """Criterion 5: the degree-2 and degree-1 recursions are independent
     computations whose totals must agree (maximality)."""
-    res = wonderful_run(build_moduli(parse_sigma("id", 6), validate_prefixes=True))
+    res = wonderful_run(check_event_prefixes(build_moduli(parse_sigma("id", 6))))
     ok = (
         list(res.betti_c) == [1, 0, 16, 0, 16, 0, 1]
         and list(res.betti_r) == [1, 16, 16, 1]

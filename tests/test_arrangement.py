@@ -7,13 +7,14 @@ from realwonder import gradedpoly as gp
 from realwonder.arrangement import (
     AMBIENT_ID,
     Stratum,
+    check_event_prefixes,
     close_under_intersection,
     order_building_set,
     validate_building_set,
 )
 from realwonder.errors import InputError
 from realwonder.flags import CONJUGATION_SPACE
-from realwonder.models import _linear_factory, build_fm, SpaceData
+from realwonder.models import _linear_factory, build_dcp, build_fm, SpaceData
 from realwonder.subspaces import intersect, rnc_points, span_points
 
 
@@ -92,8 +93,25 @@ def test_order_building_set_nested():
     plane = span_points(pts[:3])
     arr = close_linear(4, [("pt", point), ("line", line), ("plane", plane)])
     arr = replace(arr, building_set=("plane", "line", "pt"))
-    ordered = order_building_set(arr, validate_prefixes=True)
+    ordered = check_event_prefixes(order_building_set(arr))
     assert ordered.events == (("pt",), ("line",), ("plane",))
+
+
+def test_check_event_prefixes_rejects_a_bad_order():
+    """Two lines through a point of P^3: the point comes first.  Put
+    last, the prefix of the two lines lacks their meet, and the check
+    names it."""
+    p0, p1, p2 = rnc_points(3, [0, 1, 2])
+    arr = build_dcp(3, [("l1", span_points([p0, p1])), ("l2", span_points([p0, p2]))])
+    assert arr.events == (("x1",), ("l1",), ("l2",))
+    assert check_event_prefixes(arr) is arr
+    bad = replace(arr, events=(("l1",), ("l2",), ("x1",)))
+    with pytest.raises(InputError) as exc:
+        check_event_prefixes(bad)
+    assert str(exc.value) == (
+        "prefix 2 of the event order is not a building set: "
+        "x1: not transversal (codims 4 != 3)"
+    )
 
 
 def test_order_groups_conjugate_pairs():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from realwonder import gradedpoly as gp
+from realwonder.arrangement import check_event_prefixes
 from realwonder.engine import wonderful_run
 from realwonder.errors import InputError
 from realwonder.exact import GaussianRational as gq
@@ -17,6 +20,7 @@ from realwonder.models import (
     parse_sigma,
 )
 from realwonder.subspaces import rnc_points, span_points
+from realwonder.verification import _all_involutions_with_fix, _sigma_samples
 
 
 # ---- sigma parsing and moduli specs ----------------------------------
@@ -29,6 +33,30 @@ def test_parse_sigma():
     for bad in ["(1 2 3)", "(1 2)(2 3)", "(0 1)", "nope", "(1 1)"]:
         with pytest.raises(InputError):
             parse_sigma(bad, 5)
+
+
+def test_all_involutions_with_fix_makes_each_sigma_once():
+    counts = []
+    for n in range(3, 10):
+        sigmas = [spec.sigma for spec in _all_involutions_with_fix(n)]
+        assert sigmas[0] == tuple(range(1, n + 1))
+        assert len(set(sigmas)) == len(sigmas)
+        counts.append(len(sigmas))
+    # involutions of 1..n with a fixed point: all of them, less the
+    # fixed-point-free ones at even n
+    assert counts == [4, 7, 26, 61, 232, 659, 2620]
+
+
+def test_sigma_samples_are_unchanged():
+    """The seeded picks of verify --suite full."""
+    picked = [spec.sigma for spec in _sigma_samples(6, random.Random(4), 2)]
+    assert picked == [
+        (1, 2, 3, 4, 5, 6),
+        (2, 1, 3, 4, 5, 6),
+        (6, 2, 3, 4, 5, 1),
+        (2, 1, 4, 3, 5, 6),
+        (5, 6, 3, 4, 1, 2),
+    ]
 
 
 def test_moduli_spec_validation():
@@ -130,6 +158,25 @@ def test_moduli_tiny_n():
     assert res4.betti_c == [1, 0, 1] and res4.betti_r == [1, 1]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_moduli_small_n_on_the_general_path(n):
+    """M̅0,3 and M̅0,4 are P^0 and P^1 blown up nowhere: for every sigma
+    with a fixed point both backends give the same arrangement, with no
+    strata and no events."""
+    for spec in _all_involutions_with_fix(n):
+        arr = build_moduli(spec)
+        assert arr == build_moduli(spec, backend="linear")
+        assert arr.ambient.dim_c == n - 3
+        assert arr.strata == {} and arr.table == {} and arr.events == ()
+        assert arr.stretched.value == "yes"
+        assert arr.flag_axioms == (("ambient", "projective space with standard conjugation"),)
+
+
+def test_moduli_n4_rejects_repeated_params():
+    with pytest.raises(InputError, match="repeated rational normal curve parameter 0"):
+        build_moduli(parse_sigma("id", 4), backend="linear", real_params=[0, 0, 1])
+
+
 # ---- DCP --------------------------------------------------------------
 
 
@@ -165,7 +212,7 @@ def test_dcp_completes_building_set():
     pts = rnc_points(4, [0, 1, 2, 3, 4])
     w1 = span_points([pts[0], pts[1], pts[2]])
     w2 = span_points([pts[0], pts[1], pts[3]])
-    arr = build_dcp(4, [("w1", w1), ("w2", w2)], validate_prefixes=True)
+    arr = check_event_prefixes(build_dcp(4, [("w1", w1), ("w2", w2)]))
     assert len(arr.building_set) > 2
     assert arr.events[0] not in (("w1",), ("w2",))
     res = wonderful_run(arr)
@@ -198,7 +245,7 @@ def test_fm_values():
     res = wonderful_run(build_fm(2, SpaceData.projective_space(2)))
     assert gp.total(res.betti_c) == 12 == gp.total(res.betti_r)
     assert res.verdict == "ConjugationSpace"
-    res = wonderful_run(build_fm(3, SpaceData.projective_space(1), validate_prefixes=True))
+    res = wonderful_run(check_event_prefixes(build_fm(3, SpaceData.projective_space(1))))
     assert gp.total(res.betti_c) == 10 == gp.total(res.betti_r)
 
 

@@ -6,7 +6,7 @@ import pytest
 from realwonder import cli
 from realwonder.engine import wonderful_run
 from realwonder.errors import EngineError
-from realwonder.models import build_moduli, parse_sigma
+from realwonder.models import SpaceData, build_moduli, parse_sigma
 from realwonder.report import build_report, from_json, render_text, to_json
 
 from conftest import fuzz_mutate
@@ -951,6 +951,64 @@ def test_cli_machine_path_refused_before_the_run(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"input error: cannot write {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["moduli", "--n", "5"], ["hilb2", "--report", "R"]], ids=["moduli", "hilb2"]
+)
+def test_cli_machine_empty_path_refused(tmp_path, monkeypatch, capsys, argv):
+    """--machine "" names no file: it exits 2 with a message before the
+    run, rather than print the table, exit 0 and write nothing."""
+
+    def never(*_):
+        raise AssertionError("ran although the --machine path is empty")
+
+    monkeypatch.setattr(cli, "wonderful_run", never)
+    monkeypatch.setattr(cli, "from_json", never)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--machine", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: --machine needs a file path, got an empty one\n"
+    assert captured.out == "" and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dcp", "{tmp}/arr.json"],
+        ["moduli", "--n", "6", "--sigma", "(1 2)"],
+        ["config", "--model", "fm", "--n", "4", "--space", "{tmp}/p1.json"],
+        ["config", "--model", "ulyanov", "--n", "4", "--space", "{tmp}/p1.json"],
+        [
+            "config", "--model", "kt", "--n", "4", "--space", "{tmp}/p1.json",
+            "--building", "{tmp}/kt.json",
+        ],
+    ],
+    ids=["dcp", "moduli", "fm", "ulyanov", "kt"],
+)
+def test_cli_validate_prefixes_leaves_the_report(tmp_path, argv):
+    """On valid input every event prefix is a building set, so the
+    check passes and the report is the one written without it."""
+    arr = {
+        "ambient_dim": 3,
+        "generators": [
+            {"name": "l1", "rnc_span": ["0", "1"]},
+            {"name": "l2", "rnc_span": ["0", "2"]},
+            {"name": "p", "rnc_span": ["i"]},
+            {"name": "pbar", "rnc_span": ["-i"]},
+        ],
+    }
+    (tmp_path / "arr.json").write_text(json.dumps(arr))
+    (tmp_path / "p1.json").write_text(json.dumps(SpaceData.projective_space(1).to_dict()))
+    building = [[[1, 2, 3]], [[3, 4]], [[1, 2], [3, 4]], [[1, 2, 3, 4]]]
+    (tmp_path / "kt.json").write_text(json.dumps(building))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    reports = []
+    for extra in ([], ["--validate-prefixes"]):
+        path = tmp_path / f"report{len(reports)}.json"
+        assert cli.main(argv + extra + ["--machine", str(path)]) == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cli_machine_write_error_exits_2(tmp_path, capsys):

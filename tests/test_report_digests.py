@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from realwonder import cli
 from realwonder.engine import wonderful_run
 from realwonder.models import (
     SpaceData,
@@ -80,6 +81,21 @@ DIGESTS_V2 = {
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# the --machine report of M̅0,3 and M̅0,4, which have no blow-ups
+MACHINE_DIGESTS = {
+    ("3", "id"): "9d71af6f3e76f978a532a0ccfc18a9a905254d3c94a18f478f45080de7333372",
+    ("4", "id"): "62079ecf928ee6e2be03fbc070c7af40222788a0656f7c3fc136511e95a98463",
+    ("4", "(1 2)"): "45e8ef95b2bbb99c70833485fa82feef38470317bc0f657f42b390c50b49a019",
+}
+
+
+@pytest.mark.parametrize("n, sigma", sorted(MACHINE_DIGESTS))
+def test_small_moduli_machine_digest(tmp_path, capsys, n, sigma):
+    path = tmp_path / "report.json"
+    assert cli.main(["moduli", "--n", n, "--sigma", sigma, "--machine", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MACHINE_DIGESTS[n, sigma]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -26,6 +26,7 @@ ALLOWED = {
     "ProjSubspace.basis",
     "ProjSubspace.whole",
     "ProjSubspace.empty",
+    "ProjSubspace.key",
     "subspaces.contains",
     # the documented dense schema-v1 rebuild of a v2 report; the v1
     # digests are pinned through it
