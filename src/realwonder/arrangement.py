@@ -6,7 +6,7 @@ stored) and may contain UNRESOLVED markers for pairs the incremental
 rules cannot express; reading such an entry aborts the run honestly.
 A run retires the rows no later blow-up reads (RetiredRow), and reading
 one of those aborts too; it packs the rows no blow-up reads within the
-next few events into two tuples (PackedRow), which read as the dict.
+next few events into two tuples (PackedRow), read and walked as dicts.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class PackedRow:
     dict keeps up to half its slots spare, and an index.  It answers the
     reads the package makes of a row as the dict it packs did, in the
     same order: iteration, items, get, in and len; get and in scan the
-    keys.  Nothing mutates it: a step that changes the row builds a dict
-    from items()."""
+    keys.  A step walks it through items(), as a dict row, and nothing
+    mutates it: a step that changes the row builds a dict from items()."""
 
     __slots__ = ("sids", "meets")
 
@@ -352,7 +352,8 @@ def close_under_intersection(
     Discovered intersections are named by namer(k, geometry) (default
     "x1", "x2", ...) in deterministic discovery order.  A geometry is
     identified by its own equality and hash, and conjugate() gives the
-    geometry of its conjugate stratum.
+    geometry of its conjugate stratum.  Ids with '^' (piece ids S^C) and
+    unsupported geometries raise InputError.
     """
     if namer is None:
         namer = lambda k, g: f"x{k}"
@@ -360,6 +361,8 @@ def close_under_intersection(
     geoms = {}
     by_geom = {}
     for sid, g in generators:
+        if not isinstance(g, (ProjSubspace, SetPartition, FramePartition)):
+            raise InputError(f"unsupported geometry {type(g).__name__}")
         if sid in geoms:
             raise InputError(f"duplicate generator id {sid}")
         if g in by_geom:
@@ -408,6 +411,8 @@ def close_under_intersection(
 
     strata = {}
     for sid in known:
+        if "^" in sid:  # the engine reads a piece S^C1^...^Ck by its parts
+            raise InputError(f"stratum id {sid} contains '^', which marks a piece")
         strata[sid] = stratum_factory(sid, geoms[sid], partner[sid])
 
     table = {sid: {} for sid in known}

@@ -89,14 +89,11 @@ _CASES = {
 PACK_AHEAD = 12
 
 
-def _row(table: dict, sid: str, copy: bool = False) -> dict:
-    """sid's table row as a dict, for reads by key, and a missing one
-    empty: a packed row is unpacked into a new dict, and a dict row is
-    copied only when copy is set."""
-    row = table.get(sid, {})
+def _dict_copy(row) -> dict:
+    """A new dict of a live row, a dict or packed."""
     if type(row) is PackedRow:
         return dict(row.items())
-    return dict(row) if copy else row
+    return dict(row)
 
 
 def _names_none(row, sids: set) -> bool:
@@ -177,23 +174,6 @@ class RunResult:
         return self.ledger.value
 
 
-def _shadow_id(arr: Arrangement, sid: str):
-    """The stratum whose geometry is the shadow of sid, the original
-    geometry of that stratum, or None; exceptional pieces descend to
-    their source (tangent data of linear/polydiagonal shadows is
-    position-independent, so the downstairs clean-sum test decides
-    separation along whatever part of the meet the tower retained).
-    The closure gives distinct strata distinct geometries, so the id
-    names the shadow."""
-    s = arr.strata.get(sid)
-    if s is not None and s.geometry is not None:
-        return sid
-    if "^" in sid:
-        return _shadow_id(arr, sid.rsplit("^", 1)[0])
-    return None
-
-
-_UNSEEN = object()  # a stratum whose shadow is not looked up yet
 _SHADOW_INSIDE = "shadow inside the center shadow; outside the supported analysis"
 
 
@@ -255,9 +235,9 @@ def _elementary(arr: Arrangement, cid: str, later):
     an InsideCenter stratum walks only to the others.  Two transforms
     that met inside the center are checked for separation in the pass,
     by one lookup in the center's memo of outcomes by pair of shadows.
-    Rows are copied on their first change, and a packed row (see
-    _retire) is walked as its two tuples and becomes a dict then;
-    untouched rows stay shared with the arrangement before the step.
+    Every row, a dict or packed (see _retire), is walked through items()
+    and copied by _dict_copy on its first change; untouched rows stay
+    shared with the arrangement before the step.
 
     A piece NEW(S) is dead at birth when S is not in later and S's row
     before the step names no stratum of ahead = later ∩ touched: its
@@ -283,7 +263,7 @@ def _elementary(arr: Arrangement, cid: str, later):
     # an untouched stratum), so only the center and its table row, the
     # "touched" strata, are classified and recomputed; a stratum absent
     # from cls is Disjoint
-    center_row = _row(old_table, cid)
+    center_row = old_table[cid]
     cls = {cid: CENTER}
     for sid, m in center_row.items():
         if m is UNRESOLVED:
@@ -372,12 +352,12 @@ def _elementary(arr: Arrangement, cid: str, later):
     # ---- intersection table -----------------------------------------
     inside = {sid for sid, c in cls.items() if c is INSIDE}
     restrictions = {}  # exceptional_restriction by (m, big), this step only
-    # separation data, for this center only: each stratum's shadow id,
-    # the outcome by shadow id by shadow id (stored both ways, so keyed
-    # by the unordered pair), and the clean-sum side by shadow
-    ic = _shadow_id(arr, cid)
-    gc = None if ic is None else strata[ic].geometry
-    shadows = {}
+    # separation data, for this center only: the outcome by shadow id by
+    # shadow id (stored both ways, so keyed by the unordered pair), and
+    # the clean-sum side by shadow.  A piece S^C1^...^Ck lies over S, so
+    # the root of an id names its shadow (tangent data of linear and
+    # polydiagonal shadows is position-independent)
+    gc = center.geometry
     separations = {}
     sides = {}
 
@@ -413,7 +393,7 @@ def _elementary(arr: Arrangement, cid: str, later):
     def edit_row(sid):
         row = edited.get(sid)
         if row is None:
-            row = edited[sid] = new_table[sid] = _row(old_table, sid, copy=True)
+            row = edited[sid] = new_table[sid] = _dict_copy(old_table[sid])
         return row
 
     piece_touched = {nid: {} for nid in piece.values()}  # NEW(S)∧T(S')
@@ -424,34 +404,23 @@ def _elementary(arr: Arrangement, cid: str, later):
         rest.discard(a)
         rest_outer.discard(a)
         ca = cls[a]
-        row = old_table.get(a, {})
-        packed = type(row) is PackedRow
-        if packed:  # walked by position: b's meet is at b's index
-            keys, meets, i = row.sids, row.meets, -1
+        row = old_table[a]
         row_a = edited.get(a)
         na = piece.get(a)
         if na is not None:
             touched_a, pieces_a = piece_touched[na], piece_pieces[na]
-        ia = sep_a = None  # a's shadow and outcome row, on a's first separation
+        sep_a = None  # a's shadow's outcome row, on a's first separation
         walk = rest_outer if ca is INSIDE else rest
-        for b in filter(walk.__contains__, keys if packed else row):
-            if packed:
-                i = keys.index(b, i + 1)
-                m = meets[i]
-            else:
-                m = row[b]
+        for b, m in compress(row.items(), map(walk.__contains__, row)):
             if m is UNRESOLVED:
                 value = m
             elif ca is CENTER:
                 value = on_e[b]  # b itself when InsideCenter
-            elif ca is INSIDE:
-                value = restrictions.get((m, b))
+            elif ca is INSIDE or b in inside:
+                big = b if ca is INSIDE else a
+                value = restrictions.get((m, big))
                 if value is None:
-                    value = exceptional_restriction(m, b)
-            elif b in inside:
-                value = restrictions.get((m, a))
-                if value is None:
-                    value = exceptional_restriction(m, a)
+                    value = exceptional_restriction(m, big)
             elif m == cid:
                 value = None  # normal directions along C are disjoint (clean)
             elif m not in inside:
@@ -460,21 +429,18 @@ def _elementary(arr: Arrangement, cid: str, later):
                 # both ContainsCenter / ProperMeet, meeting inside the
                 # center: the transforms must be separated
                 if sep_a is None:
-                    ia = _shadow_id(arr, a)
+                    ia = a.partition("^")[0]
                     sep_a = separations.setdefault(ia, {})
-                ib = shadows.get(b, _UNSEEN)
-                if ib is _UNSEEN:
-                    ib = shadows[b] = _shadow_id(arr, b)
+                ib = b.partition("^")[0]
                 outcome = sep_a.get(ib)
                 if outcome is None:
-                    if ia is None or ib is None or gc is None:
+                    ga, gb = strata[ia].geometry, strata[ib].geometry
+                    if ga is None or gb is None or gc is None:
                         raise UnsupportedExcessIntersection(
                             f"transforms {a} and {b} meet inside center {cid} "
                             "and no geometry is available to separate them"
                         )
-                    outcome = _separation_outcome(
-                        strata[ia].geometry, strata[ib].geometry, gc, sides
-                    )
+                    outcome = _separation_outcome(ga, gb, gc, sides)
                     sep_a[ib] = separations.setdefault(ib, {})[ia] = outcome
                 if outcome != "separated":
                     raise UnsupportedExcessIntersection(
@@ -537,15 +503,8 @@ def _elementary(arr: Arrangement, cid: str, later):
 
 def _conj_id(strata: dict, sid: str) -> str:
     """The id of the conjugate of sid, a stratum of strata or a piece
-    made from them: a piece's conjugate is the piece of the conjugate
-    source at the conjugate center.  (A module function: a recursive
-    closure would hold strata in a reference cycle, alive until the
-    next garbage collection.)"""
-    s = strata.get(sid)
-    if s is not None:
-        return sid if s.partner is None else s.partner
-    src, c = sid.rsplit("^", 1)
-    return f"{_conj_id(strata, src)}^{_conj_id(strata, c)}"
+    S^C1^...^Ck made from them: conj(S)^conj(C1)^...^conj(Ck)."""
+    return "^".join(strata[x].partner or x for x in sid.split("^"))
 
 
 def _with_flags(s: Stratum, flags) -> Stratum:
@@ -579,7 +538,7 @@ def blow_up_step(arr: Arrangement):
     # the center's table row, which holds their meet (the table is
     # symmetric); an unresolved meet raises in Arrangement.meet
     remaining = {sid for ev in arr.events[1:] for sid in ev}
-    center_row = _row(arr.table, event[0])
+    center_row = arr.table[event[0]]
     for b, m in center_row.items():
         if b in remaining:
             if m is UNRESOLVED:
@@ -831,7 +790,7 @@ def _retire(table: dict, sids, remaining: set, events) -> None:
             table[sid] = PackedRow(row)
     for sid in events[0] if events else ():
         if type(table.get(sid)) is PackedRow:
-            table[sid] = _row(table, sid)
+            table[sid] = _dict_copy(table[sid])
 
 
 def _retiring_steps(arr: Arrangement):

@@ -66,6 +66,27 @@ def test_closure_rejects_missing_conjugate():
         close_linear(2, [("p", imag)])
 
 
+@pytest.mark.parametrize(
+    "generators, namer, match",
+    [
+        ([("a", (1, 2))], None, "unsupported geometry tuple"),
+        ([("a", (1, 2)), ("b", (3, 4))], None, "unsupported geometry tuple"),
+        ([("a^b", "pt")], None, r"a\^b contains '\^'"),
+        ([("u", "u"), ("v", "v")], lambda k, g: f"x^{k}", r"x\^1 contains '\^'"),
+    ],
+    ids=["lone-tuple", "two-tuples", "generator-id", "namer-id"],
+)
+def test_closure_rejects_bad_ids_and_geometries(generators, namer, match):
+    """A generator id or namer result with '^' (the mark of a piece id)
+    and a geometry of no supported type raise InputError, and nothing
+    else, at the closure itself."""
+    pts = rnc_points(4, [0, 1, 2, 3, 4, 5])
+    named = {"pt": pts[0], "u": span_points(pts[:3]), "v": span_points(pts[3:])}
+    generators = [(sid, named.get(g, g)) for sid, g in generators]
+    with pytest.raises(InputError, match=match):
+        close_under_intersection(linear_ambient(4), generators, _linear_factory, namer)
+
+
 def test_validate_building_set_examples():
     pts = rnc_points(2, [0, 1, 2, 3])
     arr = close_linear(2, [(f"p{i}", p) for i, p in enumerate(pts)])

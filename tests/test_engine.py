@@ -20,7 +20,14 @@ from realwonder.errors import (
     UnsupportedExcessIntersection,
 )
 from realwonder.exact import GaussianRational as gq
-from realwonder.models import SpaceData, build_dcp, build_fm, build_moduli, parse_sigma
+from realwonder.models import (
+    SpaceData,
+    build_braid,
+    build_dcp,
+    build_fm,
+    build_moduli,
+    parse_sigma,
+)
 from realwonder.report import build_report, to_v1
 from realwonder.subspaces import rnc_points, span_points
 
@@ -771,3 +778,42 @@ def test_unresolved_touched_pair_keeps_its_marker():
     assert all(UNRESOLVED in after.table[nid].values() for nid in pieces)
     reference = _reference_piece_rows(before, after, cid, cls, created)
     assert {nid: list(after.table[nid].items()) for nid in created} == reference
+
+
+def _reference_conj_id(strata, sid):
+    """The conjugate id by recursion on the last center of a piece id."""
+    s = strata.get(sid)
+    if s is not None:
+        return sid if s.partner is None else s.partner
+    src, c = sid.rsplit("^", 1)
+    return f"{_reference_conj_id(strata, src)}^{_reference_conj_id(strata, c)}"
+
+
+@pytest.mark.parametrize(
+    "build, depth2, paired",
+    [
+        (lambda: build_moduli(parse_sigma("(1 2)(3 4)", 7)), 120, 260),
+        (lambda: build_fm(5, SpaceData.projective_space(1)), 185, 0),
+        (lambda: build_braid(4, "linear"), 12, 0),
+        (fixed_dcp, 0, 2),
+    ],
+    ids=["moduli-n7-(1 2)(3 4)", "fm-n5-P1", "braid-n4-linear", "dcp-fixed"],
+)
+def test_piece_ids_name_shadow_and_conjugate(build, depth2, paired):
+    """What the step reads from a piece id S^C1^...^Ck, on every stratum
+    a bare blow_up_step chain ends with: the root S is an original
+    stratum with a geometry (the piece's shadow), and _conj_id, read
+    component by component, is the partner the step set (or the id
+    itself) and the recursive definition on the original strata."""
+    from realwonder import engine
+
+    arr = first = build()
+    while arr.events:
+        arr, _ = blow_up_step(arr)
+    pieces = [sid for sid in arr.strata if "^" in sid]
+    assert sum(sid.count("^") == 2 for sid in pieces) == depth2
+    assert sum(arr.strata[sid].partner is not None for sid in pieces) == paired
+    for sid, s in arr.strata.items():
+        assert first.strata[sid.partition("^")[0]].geometry is not None
+        mate = engine._conj_id(first.strata, sid)
+        assert mate == (s.partner or sid) == _reference_conj_id(first.strata, sid)
