@@ -11,13 +11,13 @@ next few events into two tuples (PackedRow), read and walked as dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from . import gradedpoly as gp
 from . import partitions as pt
 from . import subspaces as sub
 from .errors import InputError, InternalCheckError, UnsupportedExcessIntersection
-from .flags import FlagSet, Tri, UNKNOWN
+from .flags import FlagSet, UNKNOWN, replace
 from .partitions import FramePartition, SetPartition
 from .subspaces import ProjSubspace, intersect as sub_intersect
 
@@ -93,16 +93,11 @@ class PackedRow:
             return default
 
 
-@dataclass(frozen=True, slots=True)
-class Stratum:
-    sid: str
-    dim_c: int
-    betti_c: gp.BettiVector
-    betti_r: gp.BettiVector
-    flags: FlagSet = field(default_factory=FlagSet)
-    partner: str | None = None
-    real_nonempty: bool = True
-    geometry: object | None = None
+class Stratum(namedtuple(
+    "Stratum", "sid dim_c betti_c betti_r flags partner real_nonempty geometry",
+    defaults=(FlagSet(), None, True, None),
+)):
+    __slots__ = ()
 
     @property
     def real_status(self) -> str:
@@ -190,18 +185,13 @@ class PayloadMemo:
         return [f"{s.sid}: {p}" for p in found]
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    ambient: Stratum
-    strata: dict
-    # sid -> {other_sid: meet_sid | UNRESOLVED}, PackedRow or RetiredRow;
-    # symmetric, sparse
-    table: dict
-    building_set: tuple = ()
-    events: tuple = ()
-    stretched: Tri = UNKNOWN
-    flag_axioms: tuple = ()
-    memo: PayloadMemo | None = field(default=None, compare=False, repr=False)
+class Arrangement(namedtuple(
+    "Arrangement", "ambient strata table building_set events stretched flag_axioms memo",
+    defaults=((), (), UNKNOWN, (), None),
+)):
+    # table: sid -> {other_sid: meet_sid | UNRESOLVED}, PackedRow or
+    # RetiredRow; symmetric, sparse.  memo: the run's PayloadMemo, or None
+    __slots__ = ()
 
     def codim(self, sid: str) -> int:
         return self.ambient.dim_c - self.strata[sid].dim_c

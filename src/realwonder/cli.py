@@ -13,14 +13,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__, schema
 from .arrangement import AMBIENT_ID, check_event_prefixes
 from .engine import wonderful_run
 from .errors import EngineError, InputError, RealWonderError
 from .exact import GaussianRational
-from .flags import maximal_problem, read_flags
+from .flags import maximal_problem, read_flags, replace
 from .hilbert import (
     SmithData,
     consistency,

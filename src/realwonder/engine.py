@@ -33,7 +33,7 @@ the run only if actually consulted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import compress, product
 from operator import is_not
 
@@ -60,6 +60,7 @@ from .flags import (
     DeficiencyLedger,
     pair_event_flags,
     propagate_blowup_flags,
+    replace,
     verdict as flag_verdict,
 )
 
@@ -114,8 +115,10 @@ def _case_of_meet(sid: str, cid: str, m) -> str:
     return PROPER
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(namedtuple("StepTrace", (
+    "event codim cases created event_betti_c event_betti_r betti_c_before"
+    " betti_c_after betti_r_before betti_r_after deficiency_before deficiency_after"
+))):
     """Per-event record; all reported numbers are recomputable from it:
     complex totals and Euler characteristics change by (d-1) times those
     of event_betti_c, real totals by (d-1) times event_betti_r, and
@@ -128,18 +131,7 @@ class StepTrace:
     event order; a piece made by the first center of a pair exists
     only for the second."""
 
-    event: tuple
-    codim: int
-    cases: dict
-    created: tuple
-    event_betti_c: gp.BettiVector
-    event_betti_r: gp.BettiVector
-    betti_c_before: gp.BettiVector
-    betti_c_after: gp.BettiVector
-    betti_r_before: gp.BettiVector
-    betti_r_after: gp.BettiVector
-    deficiency_before: int
-    deficiency_after: int
+    __slots__ = ()
 
     @property
     def new_strata(self) -> tuple:
@@ -150,12 +142,8 @@ class StepTrace:
         return gp.total(self.event_betti_c) - gp.total(self.event_betti_r)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    arrangement: Arrangement
-    traces: tuple
-    ledger: DeficiencyLedger
-    verdict: str
+class RunResult(namedtuple("RunResult", "arrangement traces ledger verdict")):
+    __slots__ = ()
 
     @property
     def betti_c(self) -> gp.BettiVector:
@@ -508,8 +496,8 @@ def _conj_id(strata: dict, sid: str) -> str:
 
 
 def _with_flags(s: Stratum, flags) -> Stratum:
-    """s with other flags, through the constructor, which costs a
-    fraction of dataclasses.replace."""
+    """s with other flags, through the positional constructor, which
+    costs about a quarter of replace's keyword round trip."""
     return Stratum(
         s.sid, s.dim_c, s.betti_c, s.betti_r, flags, s.partner, s.real_nonempty, s.geometry
     )

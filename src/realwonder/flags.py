@@ -10,7 +10,7 @@ Unknown absorbs forward.  Galois maximality is never propagated to No
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import gradedpoly as gp
 from . import schema
@@ -29,18 +29,23 @@ class Tri(enum.Enum):
 YES, NO, UNKNOWN = Tri.YES, Tri.NO, Tri.UNKNOWN
 
 
-@dataclass(frozen=True, slots=True)
-class FlagSet:
-    effective: Tri = UNKNOWN
-    maximal: Tri = UNKNOWN
-    galois_maximal: Tri = UNKNOWN
+def replace(record, **changes):
+    """record with the given fields changed, built again through its
+    class, so the checks of its __new__ run on the result (a named
+    tuple's own _replace skips them)."""
+    return type(record)(**{**record._asdict(), **changes})
 
-    def __post_init__(self):
+
+class FlagSet(namedtuple("FlagSet", "effective maximal galois_maximal")):
+    __slots__ = ()
+
+    def __new__(cls, effective=UNKNOWN, maximal=UNKNOWN, galois_maximal=UNKNOWN):
         # collapse at page 1 implies collapse at page 2
-        if self.maximal is YES and self.galois_maximal is NO:
-            raise ValueError("maximal=yes forces galois_maximal=yes")
-        if self.maximal is YES and self.galois_maximal is UNKNOWN:
-            object.__setattr__(self, "galois_maximal", YES)
+        if maximal is YES:
+            if galois_maximal is NO:
+                raise ValueError("maximal=yes forces galois_maximal=yes")
+            galois_maximal = YES
+        return tuple.__new__(cls, (effective, maximal, galois_maximal))
 
     def as_dict(self):
         return {
@@ -178,20 +183,19 @@ def verdict(flags: FlagSet, betti_c) -> str:
     return "Indeterminate"
 
 
-@dataclass(frozen=True)
-class DeficiencyLedger:
+class DeficiencyLedger(namedtuple("DeficiencyLedger", "value contributions")):
     """Running total(betti_c) - total(betti_r) of the ambient, updated
     multiplicatively by blow-up events and cross-checked against the
     Betti payloads after every step."""
 
-    value: int = 0
-    contributions: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __new__(cls, value=0, contributions=()):
+        if value < 0:
             raise ValueError("deficiency must be non-negative")
-        if self.value % 2:
+        if value % 2:
             raise ValueError("deficiency must be even")
+        return tuple.__new__(cls, (value, contributions))
 
 
 def deficiency_update(ledger: DeficiencyLedger, d: int, center_defi: int,

@@ -9,10 +9,11 @@ effectivity + Galois maximality + vanishing odd homology).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import schema
 from .errors import InputError, InternalCheckError
+from .flags import replace
 
 # the "smith" object of a `hilb2 --file` input
 SMITH = {
@@ -25,20 +26,15 @@ SMITH = {
 }
 
 
-@dataclass(frozen=True)
-class SmithData:
+class SmithData(namedtuple("SmithData", "n beta_total beta_fixed beta_odd delta rank_mu")):
     """Rank bookkeeping around the Smith exact sequence of an
     n-dimensional variety with real structure."""
 
-    n: int
-    beta_total: int
-    beta_fixed: int
-    beta_odd: int = 0
-    delta: tuple = ()
-    rank_mu: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(int(x) for x in self.delta))
+    def __new__(cls, n, beta_total, beta_fixed, beta_odd=0, delta=(), rank_mu=None):
+        delta = tuple(int(x) for x in delta)
+        return tuple.__new__(cls, (n, beta_total, beta_fixed, beta_odd, delta, rank_mu))
 
     @property
     def a(self) -> int:

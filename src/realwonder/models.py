@@ -7,7 +7,7 @@ used as a cross-backend oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from itertools import combinations
 
 from . import gradedpoly as gp
@@ -35,6 +35,7 @@ from .flags import (
     pair_event_flags,
     product_flags,
     read_flags,
+    replace,
 )
 from .partitions import FramePartition, SetPartition, diagonals
 from .subspaces import (
@@ -60,27 +61,20 @@ SPACE = {
 }
 
 
-@dataclass(frozen=True)
-class SpaceData:
+class SpaceData(namedtuple("SpaceData", "name dim_c betti_c betti_r real_nonempty flags")):
     """A closed nonsingular complex variety with a real structure, given
     by its exact Betti data plus declared verdict flags (axioms)."""
 
-    name: str
-    dim_c: int
-    betti_c: gp.BettiVector
-    betti_r: gp.BettiVector
-    real_nonempty: bool = True
-    flags: FlagSet = field(default_factory=FlagSet)
+    __slots__ = ()
 
-    def __post_init__(self):
-        problems = payload_problems(
-            self.dim_c, self.betti_c, self.betti_r, REAL if self.real_nonempty else NO_REAL
-        )
+    def __new__(cls, name, dim_c, betti_c, betti_r, real_nonempty=True, flags=FlagSet()):
+        problems = payload_problems(dim_c, betti_c, betti_r, REAL if real_nonempty else NO_REAL)
         if problems:
-            raise InputError(f"{self.name}: " + "; ".join(problems))
-        problem = maximal_problem(self.flags, gp.total(self.betti_c) - gp.total(self.betti_r))
+            raise InputError(f"{name}: " + "; ".join(problems))
+        problem = maximal_problem(flags, gp.total(betti_c) - gp.total(betti_r))
         if problem:
-            raise InputError(f"{self.name}: {problem}")
+            raise InputError(f"{name}: {problem}")
+        return tuple.__new__(cls, (name, dim_c, betti_c, betti_r, real_nonempty, flags))
 
     @classmethod
     def projective_space(cls, k: int) -> "SpaceData":
@@ -255,27 +249,25 @@ def _dcp_model(ambient_dim: int, generators) -> Arrangement:
 # Kapranov's moduli model
 
 
-@dataclass(frozen=True)
-class ModuliSpec:
+class ModuliSpec(namedtuple("ModuliSpec", "n sigma")):
     """Moduli of n-pointed stable rational curves with the real
     structure induced by an order-2 permutation sigma (as a 1-indexed
     tuple of images) fixing at least one marked point."""
 
-    n: int
-    sigma: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, s = self.n, self.sigma
+    def __new__(cls, n, sigma):
         if n < 3:
             raise InputError("need n >= 3 marked points")
-        if sorted(s) != list(range(1, n + 1)):
+        if sorted(sigma) != list(range(1, n + 1)):
             raise InputError(f"sigma is not a permutation of 1..{n}")
-        if any(s[s[i] - 1] != i + 1 for i in range(n)):
+        if any(sigma[sigma[i] - 1] != i + 1 for i in range(n)):
             raise InputError("sigma must be an involution")
-        if all(s[i] != i + 1 for i in range(n)):
+        if all(sigma[i] != i + 1 for i in range(n)):
             raise InputError(
                 "sigma must have a fixed marked point (the free case is out of scope)"
             )
+        return tuple.__new__(cls, (n, sigma))
 
     @property
     def fixed(self):

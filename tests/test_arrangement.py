@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -13,7 +12,7 @@ from realwonder.arrangement import (
     validate_building_set,
 )
 from realwonder.errors import InputError
-from realwonder.flags import CONJUGATION_SPACE
+from realwonder.flags import CONJUGATION_SPACE, replace
 from realwonder.models import _linear_factory, build_dcp, build_fm, SpaceData
 from realwonder.subspaces import intersect, rnc_points, span_points
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import gc
 
 import pytest
 
@@ -20,6 +20,7 @@ from realwonder.errors import (
     UnsupportedExcessIntersection,
 )
 from realwonder.exact import GaussianRational as gq
+from realwonder.flags import replace
 from realwonder.models import (
     SpaceData,
     build_braid,
@@ -28,7 +29,7 @@ from realwonder.models import (
     build_moduli,
     parse_sigma,
 )
-from realwonder.report import build_report, to_v1
+from realwonder.report import build_report, to_json, to_v1
 from realwonder.subspaces import rnc_points, span_points
 
 from conftest import check_born_retired, fixed_dcp, point, reference_step
@@ -817,3 +818,21 @@ def test_piece_ids_name_shadow_and_conjugate(build, depth2, paired):
         assert first.strata[sid.partition("^")[0]].geometry is not None
         mate = engine._conj_id(first.strata, sid)
         assert mate == (s.partner or sid) == _reference_conj_id(first.strata, sid)
+
+
+def test_run_makes_no_cyclic_garbage():
+    """A run, its report and the report's JSON leave no reference cycle
+    for the collector: every object they drop is freed by its count."""
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for sigma in ("id", "(1 2)"):
+            result = wonderful_run(build_moduli(parse_sigma(sigma, 7)))
+            to_json(build_report({"sigma": sigma}, result))
+            del result
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()

@@ -2,7 +2,10 @@ import itertools
 
 import pytest
 
-from realwonder.errors import InternalCheckError
+from realwonder import gradedpoly as gp
+from realwonder.arrangement import Stratum
+from realwonder.engine import wonderful_run
+from realwonder.errors import InputError, InternalCheckError
 from realwonder.flags import (
     CONJUGATION_SPACE,
     DeficiencyLedger,
@@ -15,8 +18,11 @@ from realwonder.flags import (
     pair_event_flags,
     product_flags,
     propagate_blowup_flags,
+    replace,
     verdict,
 )
+from realwonder.hilbert import SmithData
+from realwonder.models import ModuliSpec, SpaceData, build_moduli, parse_sigma
 
 TRIS = (YES, NO, UNKNOWN)
 
@@ -153,3 +159,38 @@ def test_deficiency_ledger():
         DeficiencyLedger(-2)
     with pytest.raises(ValueError):
         DeficiencyLedger(3)
+
+
+def test_replace_runs_the_record_checks():
+    """replace builds the record again through its class, so the checks
+    of its __new__ run on the result (a named tuple's own _replace
+    would skip them)."""
+    assert replace(FlagSet(), maximal=YES).galois_maximal is YES
+    for value in (3, -2):
+        with pytest.raises(ValueError):
+            replace(DeficiencyLedger(2), value=value)
+    with pytest.raises(InputError):  # Smith inequality: 4 > 2
+        replace(SpaceData.projective_space(1), betti_r=gp.BettiVector([1, 1, 1, 1]))
+    with pytest.raises(InputError):  # no fixed marked point
+        replace(ModuliSpec(4, (2, 1, 3, 4)), sigma=(2, 1, 4, 3))
+    smith = replace(SmithData(2, 4, 2), delta=[1, 0])
+    assert type(smith.delta) is tuple and smith.delta == (1, 0)
+
+
+def test_records_are_immutable_values():
+    """Every record refuses a new value for any field, and compares,
+    hashes and prints by its fields."""
+    result = wonderful_run(build_moduli(parse_sigma("id", 5)))
+    arr = result.arrangement
+    records = (
+        arr.ambient.flags, result.ledger, SmithData(2, 4, 2), arr.ambient, arr,
+        result.traces[0], result, SpaceData.projective_space(1), ModuliSpec(3, (1, 2, 3)),
+    )
+    assert len({type(r) for r in records}) == 9
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    assert FlagSet(maximal=YES) == FlagSet(UNKNOWN, YES, YES)
+    assert hash(FlagSet(maximal=YES)) == hash(FlagSet(UNKNOWN, YES, YES))
+    assert repr(Stratum("a", 0, gp.POINT, gp.POINT)).startswith("Stratum(sid='a', dim_c=0, ")

@@ -6,6 +6,7 @@ import pytest
 from realwonder import cli
 from realwonder.engine import wonderful_run
 from realwonder.errors import EngineError
+from realwonder.flags import FlagSet
 from realwonder.models import SpaceData, build_moduli, parse_sigma
 from realwonder.report import build_report, from_json, render_text, to_json
 
@@ -191,7 +192,7 @@ def test_to_json_matches_stdlib_on_edge_values():
         assert to_json(value) == _reference_json(value)
 
 
-@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "x"}, {"a": {2}}])
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "x"}, {"a": {2}}, FlagSet()])
 def test_to_json_rejects_non_report_values(bad):
     with pytest.raises(TypeError):
         to_json(bad)
@@ -689,6 +690,25 @@ def test_cli_import_builds_no_parser():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_start_up_loads_no_dataclasses():
+    """The CLI's records are named tuples: importing it and building its
+    parser loads neither dataclasses nor the inspect module it pulls in,
+    about 16 ms of every command's start-up."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import realwonder.cli\n"
+        "realwonder.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().strip() == "[]"
+
+
 _P1 = {"name": "P1", "dim_c": 1, "betti_c": [1, 0, 1], "betti_r": [1, 1]}
 
 
@@ -877,10 +897,9 @@ def test_cli_hilb2_report_malformed_v2(tmp_path, capsys, name):
 def test_cli_engine_guard_names_the_step(monkeypatch, capsys):
     """A payload broken inside step 4 exits 3 with a message that names
     the step and its event before the check's own text."""
-    from dataclasses import replace
-
     from realwonder import engine
     from realwonder import gradedpoly as gp
+    from realwonder.flags import replace
 
     events = build_moduli(parse_sigma("id", 6)).events
     calls = []
